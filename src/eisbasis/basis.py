@@ -164,16 +164,6 @@ def _realize(descriptor: Descriptor, precision: int) -> QSeries:
         product = eisenstein_product(descriptor.u, descriptor.v, precision)
         correction = descriptor.c * eisenstein(descriptor.u + descriptor.v, precision)
         return product + correction
-    if isinstance(descriptor, Monomial):
-        series = None
-        for base_weight, exponent in ((4, descriptor.alpha), (6, descriptor.beta)):
-            if exponent == 0:
-                continue
-            factor = eisenstein(base_weight, precision) ** exponent
-            series = factor if series is None else series * factor
-        if series is None:
-            raise ValueError("monomial must have at least one factor")
-        return series
     raise TypeError(f"unknown descriptor {descriptor!r}")
 
 
@@ -237,15 +227,33 @@ def classical_exponents(weight: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _powers(base: QSeries, top: int) -> list[QSeries]:
+    """[base, base^2, ..., base^top], each power one multiply from the last."""
+    powers = [base]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * base)
+    return powers
+
+
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
-    """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
+    """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space.
+
+    The powers G_4^1..G_4^alpha_max and G_6^1..G_6^beta_max are built once
+    per call, so each monomial is a table lookup plus at most one multiply.
+    """
     if precision is None:
         precision = default_precision(weight)
-    elements = tuple(
-        BasisElement(Monomial(alpha, beta), _realize(Monomial(alpha, beta), precision))
-        for alpha, beta in classical_exponents(weight)
-    )
-    return Basis(weight, BasisKind.CLASSICAL, precision, elements)
+    exponents = classical_exponents(weight)
+    g4 = _powers(eisenstein(4, precision), max(alpha for alpha, _ in exponents))
+    g6 = _powers(eisenstein(6, precision), max(beta for _, beta in exponents))
+    elements = []
+    for alpha, beta in exponents:
+        if alpha and beta:
+            series = g4[alpha - 1] * g6[beta - 1]
+        else:
+            series = g4[alpha - 1] if alpha else g6[beta - 1]
+        elements.append(BasisElement(Monomial(alpha, beta), series))
+    return Basis(weight, BasisKind.CLASSICAL, precision, tuple(elements))
 
 
 def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) -> Basis:

@@ -116,18 +116,25 @@ def _descriptor_to_document(descriptor) -> dict:
     raise TypeError(f"unknown descriptor {descriptor!r}")
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _descriptor_from_document(obj) -> Single | Product | CuspCombo | Monomial:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("descriptor must be an object with a 'type' key")
     kind = obj["type"]
     if kind == "single":
-        return Single(obj["weight"])
+        return Single(_int_field(obj, "weight"))
     if kind == "product":
-        return Product(obj["u"], obj["v"])
+        return Product(_int_field(obj, "u"), _int_field(obj, "v"))
     if kind == "cusp-combo":
-        return CuspCombo(obj["u"], obj["v"], parse_rational(obj["c"]))
+        return CuspCombo(_int_field(obj, "u"), _int_field(obj, "v"), parse_rational(obj["c"]))
     if kind == "monomial":
-        return Monomial(obj["g4_exponent"], obj["g6_exponent"])
+        return Monomial(_int_field(obj, "g4_exponent"), _int_field(obj, "g6_exponent"))
     raise ValueError(f"unknown descriptor type {kind!r}")
 
 
@@ -151,13 +158,18 @@ def basis_from_document(obj) -> Basis:
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
     try:
-        weight = obj["weight"]
+        weight = _int_field(obj, "weight")
         kind = BasisKind(obj["kind"])
-        precision = obj["precision"]
+        precision = _int_field(obj, "precision")
         elements = []
-        for entry in obj["elements"]:
+        for index, entry in enumerate(obj["elements"]):
             descriptor = _descriptor_from_document(entry["descriptor"])
             coeffs = tuple(parse_rational(c) for c in entry["coefficients"])
+            if len(coeffs) != precision:
+                raise ValueError(
+                    f"document precision {precision} does not match the "
+                    f"{len(coeffs)} coefficients of element {index}"
+                )
             elements.append(BasisElement(descriptor, QSeries(weight, coeffs)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import sigma
+from .arith import _check_weight, sigma
 from .qseries import QSeries
 
 __all__ = ["eisenstein", "eisenstein_product"]
-
-
-def _check_weight(weight: int) -> None:
-    if weight == 2:
-        raise ValueError("weight 2 is not available: the weight-2 series is only quasi-modular")
-    if weight % 2 != 0 or weight < 4:
-        raise ValueError(f"Eisenstein weight must be an even integer >= 4, got {weight}")
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,20 @@
 Every series carries a weight tag: addition demands equal weights and
 multiplication adds them, so accidentally combining forms of different
 weight fails loudly instead of producing a meaningless coefficient list.
+
+Series-by-series multiplication uses Kronecker substitution: each operand's
+coefficients are brought over one common denominator, the integer
+numerators are packed into a single Python int (one byte-aligned slot per
+coefficient, wide enough for any coefficient of the product), one bigint
+multiply does the whole convolution, and the low slots are unpacked again.
+Coefficients stay exact Fractions on both sides of the multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["QSeries"]
 
@@ -17,6 +25,38 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction or int")
     return Fraction(value)
+
+
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of `coeffs` over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """The low len(a) coefficients of the product of the integer
+    polynomials a and b, which have equal length, by one bigint multiply.
+
+    Every product coefficient is bounded by n * max|a| * max|b|, so a slot
+    of that many bits plus a sign bit, rounded up to whole bytes, holds it.
+    Adding 2^(slot-1) to every slot makes every slot non-negative, so the
+    packed values and the product both convert through plain bytes.
+    """
+    n = len(a)
+    bound = n * max(map(abs, a)) * max(map(abs, b))
+    if bound == 0:
+        return [0] * n
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+
+    def pack(values):
+        raw = b"".join((v + half).to_bytes(width, "little") for v in values)
+        return int.from_bytes(raw, "little") - bias
+
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 @dataclass(frozen=True)
@@ -76,10 +116,10 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(len(self.coeffs), len(other.coeffs))
-            coeffs = tuple(
-                sum(self.coeffs[l] * other.coeffs[i - l] for l in range(i + 1))
-                for i in range(n)
-            )
+            a, da = _numerators(self.coeffs[:n])
+            b, db = _numerators(other.coeffs[:n])
+            den = da * db
+            coeffs = tuple(Fraction(c, den) for c in _kronecker(a, b))
             return QSeries(self.weight + other.weight, coeffs)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computation paths:
 Bernoulli numbers come from the full recurrence over all indices, divisor
-sums from exhaustive enumeration, determinants from Leibniz expansion, and
+sums from exhaustive enumeration, series products from the schoolbook
+convolution sum, determinants from Leibniz expansion, and
 the discriminant cusp form from the unit-normalized series combination.
 """
 
@@ -35,6 +36,19 @@ def delta_series(precision: int) -> QSeries:
     e4 = 240 * eisenstein(4, precision)
     e6 = -504 * eisenstein(6, precision)
     return (e4**3 - e6**2) / 1728
+
+
+def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
+    """a * b by the direct Fraction convolution sum, truncated to the shorter
+    precision."""
+    n = min(a.precision, b.precision)
+    return QSeries(
+        a.weight + b.weight,
+        tuple(
+            sum((a.coeffs[l] * b.coeffs[i - l] for l in range(i + 1)), Fraction(0))
+            for i in range(n)
+        ),
+    )
 
 
 def det_leibniz(rows: list[list[Fraction]]) -> Fraction:

@@ -95,10 +95,16 @@ class TestClassicalBasis:
         assert classical_exponents(weight) == pairs
 
     def test_monomial_realization_matches_direct_powers(self):
-        basis = classical_basis(12, 8)
-        g4, g6 = eisenstein(4, 8), eisenstein(6, 8)
-        assert basis.elements[0].series == g4**3
-        assert basis.elements[1].series == g6**2
+        # the shared power tables against each monomial built on its own
+        for basis in [classical_basis(12, 8)] + [classical_basis(w) for w in range(4, 74, 2)]:
+            g4, g6 = eisenstein(4, basis.precision), eisenstein(6, basis.precision)
+            for el in basis.elements:
+                alpha, beta = el.descriptor.alpha, el.descriptor.beta
+                if alpha and beta:
+                    expected = g4**alpha * g6**beta
+                else:
+                    expected = g4**alpha if alpha else g6**beta
+                assert el.series == expected, el.descriptor
 
     def test_labels(self):
         assert [el.descriptor.label() for el in classical_basis(36, 6).elements] == [

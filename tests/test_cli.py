@@ -73,6 +73,20 @@ class TestBasisDocuments:
         basis = basis_for(4, BasisKind.NEW_S, 16)
         assert basis_from_document(basis_to_document(basis)) == basis
 
+    def test_rejects_precision_that_disagrees_with_coefficient_count(self):
+        doc = basis_to_document(basis_for(12, BasisKind.NEW_M, 16))
+        doc["precision"] = 999
+        with pytest.raises(ValueError, match="precision 999"):
+            basis_from_document(doc)
+
+    @pytest.mark.parametrize("field, bad", [("weight", "abc"), ("weight", True), ("u", 4.0)])
+    def test_rejects_non_integer_descriptor_field(self, field, bad):
+        doc = basis_to_document(basis_for(12, BasisKind.NEW_M, 16))
+        descriptor = doc["elements"][0 if field == "weight" else 1]["descriptor"]
+        descriptor[field] = bad
+        with pytest.raises(ValueError, match=field):
+            basis_from_document(doc)
+
 
 class TestDims:
     def test_single_weight_text(self, capsys):

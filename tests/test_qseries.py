@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eisbasis import QSeries, eisenstein, sigma
+from helpers import schoolbook_product
 
 
 def random_series(rng, weight, precision):
@@ -112,6 +113,76 @@ class TestMultiply:
         assert (g4**3).weight == 12
         with pytest.raises(ValueError):
             g4**0
+
+
+class TestKroneckerAgainstSchoolbook:
+    """The packed bigint multiply against the direct Fraction convolution."""
+
+    def check(self, a, b):
+        assert a * b == schoolbook_product(a, b)
+        assert b * a == schoolbook_product(b, a)
+
+    def test_random_signed_rational_series(self):
+        rng = random.Random(20261017)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            bits = rng.choice((1, 8, 40, 200))
+
+            def draw():
+                return Fraction(
+                    rng.randint(-(2**bits), 2**bits), rng.randint(1, rng.choice((1, 9, 2**bits)))
+                )
+
+            a = QSeries(4, tuple(draw() for _ in range(n + rng.randint(0, 3))))
+            b = QSeries(6, tuple(draw() for _ in range(n + rng.randint(0, 3))))
+            self.check(a, b)
+
+    def test_all_zero_series(self):
+        self.check(QSeries.zero(4, 7), eisenstein(6, 7))
+        self.check(QSeries.zero(4, 7), QSeries.zero(6, 7))
+
+    def test_precision_one(self):
+        self.check(eisenstein(4, 1), eisenstein(6, 1))
+        self.check(QSeries(4, (Fraction(-3, 7),)), QSeries(6, (Fraction(5, 2),)))
+
+    def test_negative_constant_term(self):
+        # B_10 > 0, so G_10 has constant term -B_10/20 < 0
+        assert eisenstein(10, 12).coefficient(0) < 0
+        self.check(eisenstein(10, 12), eisenstein(4, 12))
+        self.check(eisenstein(10, 12), eisenstein(10, 12))
+
+    def test_bernoulli_sized_constant_term_beside_small_coefficients(self):
+        big = eisenstein(240, 20)
+        assert big.coefficient(0).numerator.bit_length() > 300
+        self.check(big, eisenstein(4, 20))
+        self.check(big, big)
+        small = QSeries(4, (Fraction(1, 3),) + (Fraction(-1),) * 19)
+        self.check(big, small)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (127, 1),  # bound 127: just inside one byte with its sign bit
+            (1, 11),  # 121: just inside one byte
+            (1, 12),  # 144: just past one byte
+            (2, 8),  # 128: just past one byte
+            (2, 127),  # 32258: just inside two bytes
+            (2, 128),  # 32768: just past two bytes
+            (2, 2**23 - 1),  # just under 2^47: just inside six bytes
+            (2, 2**23),  # 2^47: just past six bytes
+        ],
+    )
+    def test_products_at_byte_boundaries(self, n, m):
+        # constant coefficients attain the bound n * m * m at index n - 1
+        plus = QSeries(4, (m,) * n)
+        minus = QSeries(6, (-m,) * n)
+        self.check(plus, plus)
+        self.check(plus, minus)
+        self.check(minus, minus)
+        assert (plus * minus).coefficient(n - 1) == -n * m * m
+        alternating = QSeries(6, tuple(m if i % 2 else -m for i in range(n)))
+        self.check(plus, alternating)
+        self.check(alternating, alternating)
 
 
 class TestRingAxioms:
