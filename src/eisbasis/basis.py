@@ -15,6 +15,12 @@ basis when its element count equals the space's dimension and the leading
 square matrix of q-coefficients has nonzero exact determinant.  A form in
 the weight-2k space vanishing in its first dim-many coefficients is zero,
 so that pairing is non-degenerate and the determinant test is sound.
+
+Expressing a form in coordinates solves the leading square window modulo
+61-bit primes, with Chinese remaindering and rational reconstruction.  That
+method may be wrong, so it is never trusted: the solve returns only an
+answer that satisfies its system exactly, and express() then checks the
+reconstruction exactly against every supplied coefficient.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .arith import bernoulli, dimension_data
 from .eisenstein import eisenstein, eisenstein_product
-from .qseries import QSeries
+from .qseries import QSeries, _numerators
 
 __all__ = [
     "BasisKind",
@@ -266,7 +273,8 @@ def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) 
 
 
 class RatMatrix:
-    """Dense matrix of exact rationals with determinant and linear solve."""
+    """Dense matrix of exact rationals with an exact determinant and a
+    linear solve that is modular inside but certified exactly."""
 
     def __init__(self, rows):
         if not rows or not rows[0]:
@@ -337,29 +345,189 @@ class RatMatrix:
         return Fraction(sign * m[n - 1][n - 1], scale)
 
     def solve(self, rhs) -> list[Fraction]:
-        """Solve self * x = rhs exactly by Gaussian elimination."""
+        """Solve self * x = rhs exactly, by a modular method certified exactly.
+
+        Each row of [self | rhs] is cleared to integers, so no prime can
+        divide a denominator.  The integer system is solved modulo a fixed
+        sequence of primes just below 2^61 by Gaussian elimination, the
+        residues are combined by the Chinese remainder theorem, and x is
+        read back by rational reconstruction.  A candidate is returned only
+        after it satisfies every cleared row exactly, so a wrong
+        reconstruction can cost time but never give a wrong answer.  Primes
+        at which the matrix is singular are skipped; the first such prime
+        makes the exact determinant decide, once, whether the matrix is
+        singular over Q.  Once the modulus exceeds twice the square of the
+        Hadamard bound, reconstruction must succeed for a nonsingular matrix
+        (Cramer's rule), so a candidate still failing there raises
+        ArithmeticError instead of trying more primes.
+        """
         n = self.rows
         if n != self.cols:
             raise ValueError(f"solve needs a square matrix, got {n}x{self.cols}")
         if len(rhs) != n:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
-        a = [row[:] + [Fraction(b)] for row, b in zip(self._rows, rhs)]
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                factor = a[i][k] / pivot
-                if factor:
-                    for j in range(k, n + 1):
-                        a[i][j] -= factor * a[k][j]
-        x = [Fraction(0)] * n
-        for k in range(n - 1, -1, -1):
-            acc = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-            x[k] = acc / a[k][k]
-        return x
+        if any(isinstance(b, float) for b in rhs):
+            raise TypeError("float right-hand sides are not allowed; use Fraction or int")
+        system = [_numerators(row + [Fraction(b)])[0] for row, b in zip(self._rows, rhs)]
+        hadamard = prod(isqrt(sum(v * v for v in row)) + 1 for row in system)
+        limit = 2 * hadamard * hadamard
+        residues, modulus, rounds, next_try = [0] * n, 1, 0, 1
+        determinant_known = False
+        for p in _primes():
+            image = _solve_mod(system, p)
+            if image is None:
+                if not determinant_known:
+                    if self.determinant() == 0:
+                        raise ValueError("matrix is singular")
+                    determinant_known = True
+                continue
+            inverse = pow(modulus, -1, p)
+            residues = [r + modulus * ((v - r) * inverse % p) for r, v in zip(residues, image)]
+            modulus *= p
+            rounds += 1
+            past_bound = modulus > limit
+            # a failed reconstruction costs a Euclidean pass over the whole
+            # modulus, so the primes between tries grow with their count:
+            # tries come after 1, 2, 3, 4, 6, 8, 11, 14, 18, 23, ... primes
+            if rounds == next_try or past_bound:
+                next_try = rounds + 1 + rounds // 4
+                x = _reconstruct_vector(residues, modulus)
+                if x is not None and _satisfies(system, x):
+                    return x
+            if past_bound:
+                raise ArithmeticError(
+                    "modular solve found no exact solution within the Hadamard bound"
+                )
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37; with these twelve witnesses it is exact
+    for every n below 3.3 * 10^24, far above the 61-bit primes used here.
+    Trial division by the witnesses first rejects most composites cheaply."""
+    if any(n % a == 0 for a in _WITNESSES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# 2^61 - p for the first 128 primes p below 2^61, in decreasing order
+_PRIME_OFFSETS = (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829,
+    843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489,
+    1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855, 1863, 1869,
+    1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371, 2373, 2383, 2385,
+    2401, 2539, 2551, 2595, 2605, 2665, 2695, 2911, 2919, 3015, 3045, 3069, 3079, 3081,
+    3105, 3139, 3151, 3153, 3183, 3295, 3325, 3331, 3361, 3363, 3373, 3409, 3441, 3465,
+    3625, 3669, 3793, 3799, 3835, 3865, 3895, 3913, 3931, 3933, 4003, 4015, 4075, 4119,
+    4141, 4185, 4219, 4243, 4351, 4359, 4393, 4431, 4443, 4459, 4465, 4473, 4525, 4575,
+    4599, 4659, 4723, 4729, 4749, 4789, 4795, 4819, 4863, 4885, 4969, 5043, 5079,
+)
+
+
+def _primes():
+    """The primes below 2^61 in decreasing order, from 2^61 - 1 down: the
+    table first, then a search down from its last entry, so nothing is
+    searched at import and most solves search nothing at all."""
+    for offset in _PRIME_OFFSETS:
+        yield (1 << 61) - offset
+    candidate = (1 << 61) - _PRIME_OFFSETS[-1]
+    while True:
+        candidate -= 2
+        if _is_prime(candidate):
+            yield candidate
+
+
+def _solve_mod(system: list[list[int]], p: int) -> list[int] | None:
+    """x with system[:, :n] * x = system[:, n] mod p by Gaussian elimination
+    and back substitution, or None when the matrix is singular mod p.
+
+    Rows below the pivot are left unreduced: each update adds less than p^2
+    to an entry, so entries stay a few words long, and an entry is reduced
+    only when it is read as a factor or its row becomes the pivot row.
+    """
+    a = [[v % p for v in row] for row in system]
+    n = len(a)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] % p), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        inverse = pow(a[k][k], -1, p)
+        # row k is scaled to a unit pivot; entries left of k+1 are never read again
+        top = a[k][k + 1 :] = [v * inverse % p for v in a[k][k + 1 :]]
+        for row in a[k + 1 :]:
+            factor = row[k] % p
+            if factor:
+                row[k + 1 :] = [v - factor * t for v, t in zip(row[k + 1 :], top)]
+    x = [0] * n
+    for k in reversed(range(n)):
+        x[k] = (a[k][n] - sum(map(mul, a[k][k + 1 : n], x[k + 1 :]))) % p
+    return x
+
+
+def _reconstruct(u: int, m: int) -> Fraction | None:
+    """The fraction r/t with |r|, |t| <= sqrt(m/2) and r = u*t mod m, or
+    None if there is none (Wang's rational reconstruction: the extended
+    Euclidean algorithm on m and u, stopped halfway).  When it exists it is
+    unique."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct_vector(residues: list[int], m: int) -> list[Fraction] | None:
+    """Every residue reconstructed, or None at the first that fails.
+
+    The entries of a solution often share their denominator (Cramer's
+    rule), so each residue is first scaled by the lcm T of the denominators
+    found so far: when T * x_j is a small integer it is read off at once,
+    with no Euclidean pass.  Past the Hadamard bound that shortcut can only
+    give the true x_j; before it, the exact check catches a wrong one.
+    """
+    half = m // 2
+    bound = isqrt(half)
+    x, den = [], 1
+    for u in residues:
+        v = u * den % m
+        if v > half:
+            v -= m
+        if abs(v) <= bound:
+            x.append(Fraction(v, den))
+            continue
+        value = _reconstruct(u, m)
+        if value is None:
+            return None
+        x.append(value)
+        den = lcm(den, value.denominator)
+    return x
+
+
+def _satisfies(system: list[list[int]], x: list[Fraction]) -> bool:
+    """Whether x solves the integer system exactly: with x = N / D over one
+    denominator, every row must give sum_j a_ij N_j == b_i D."""
+    nums, den = _numerators(x)
+    return all(sum(map(mul, row, nums)) == row[-1] * den for row in system)
 
 
 def coefficient_matrix(basis: Basis, n: int) -> RatMatrix:
@@ -449,11 +617,11 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
     The square system on the first dim-many coefficients (shifted past the
-    constant term for the cusp kind) is solved exactly, then the
-    reconstruction is compared against every remaining available
-    coefficient.  Any mismatch raises SpanError carrying the first bad
-    index: the input is not in the span, i.e. not a modular form of this
-    weight.
+    constant term for the cusp kind) is solved by RatMatrix.solve, then the
+    reconstruction is compared, in integers over common denominators,
+    against every available coefficient.  Any mismatch raises SpanError
+    carrying the first bad index: the input is not in the span, i.e. not a
+    modular form of this weight.
     """
     if target.weight != basis.weight:
         raise ValueError(
@@ -485,11 +653,13 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     else:
         coords = []
         limit = target.precision
+    # integer comparison: coords = N / D, column j = A_j / L_j, so the
+    # reconstruction sum(N * A_j) / (D * L_j) must equal t_j
+    nums, den = _numerators(coords)
     for j in range(limit):
-        reconstructed = sum(
-            (c * el.series.coefficient(j) for c, el in zip(coords, basis.elements)),
-            Fraction(0),
-        )
-        if reconstructed != target.coefficient(j):
-            raise SpanError(j, target.coefficient(j), reconstructed)
+        column, column_den = _numerators([el.series.coefficient(j) for el in basis.elements])
+        total = sum(map(mul, nums, column))
+        expected = target.coefficient(j)
+        if total * expected.denominator != expected.numerator * den * column_den:
+            raise SpanError(j, expected, Fraction(total, den * column_den))
     return coords

@@ -29,7 +29,9 @@ def _as_fraction(value) -> Fraction:
 
 def _numerators(coeffs) -> tuple[list[int], int]:
     """Integer numerators of `coeffs` over their least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
+    # unpack a list, not a generator: CPython sizes a tuple built from a
+    # generator by resizing, and those tuples pile up on its free list
+    den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 

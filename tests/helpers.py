@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 Bernoulli numbers come from the full recurrence over all indices, divisor
 sums from exhaustive enumeration, series products from the schoolbook
-convolution sum, determinants from Leibniz expansion, and
-the discriminant cusp form from the unit-normalized series combination.
+convolution sum, primes from a Fermat test, determinants from Leibniz
+expansion, linear solves from Gaussian elimination over Fractions, and the
+discriminant cusp form from the unit-normalized series combination.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
     )
 
 
+def fermat_prime(n: int) -> bool:
+    """Fermat test to the first ten prime bases; for n > 29 a composite
+    passes only if it is a pseudoprime to all ten."""
+    return all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+
+
 def det_leibniz(rows: list[list[Fraction]]) -> Fraction:
     """Determinant by signed permutation expansion; fine for n <= 5."""
     n = len(rows)
@@ -64,6 +71,30 @@ def det_leibniz(rows: list[list[Fraction]]) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """x with rows * x = rhs by Gaussian elimination over Fractions and back
+    substitution; raises ValueError("matrix is singular") when no pivot is
+    left."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            if factor:
+                for j in range(k, n + 1):
+                    a[i][j] -= factor * a[k][j]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
+        x[k] = acc / a[k][k]
+    return x
 
 
 # Ramanujan tau values tau(1)..tau(20), frozen from the delta_series

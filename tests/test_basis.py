@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -28,7 +29,11 @@ from eisbasis import (
     verify_basis,
     verify_report,
 )
-from helpers import delta_series, det_leibniz
+from eisbasis import basis as basis_module
+from helpers import delta_series, det_leibniz, fermat_prime, gauss_solve
+
+# the first prime the modular solve works with
+FIRST_PRIME = next(basis_module._primes())
 
 
 class TestDescriptors:
@@ -193,6 +198,100 @@ class TestRatMatrix:
     def test_solve_singular_raises(self):
         with pytest.raises(ValueError):
             RatMatrix([[1, 2], [2, 4]]).solve([1, 1])
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]]).solve([1, 2, 3])
+
+    def test_solve_matches_fraction_elimination(self):
+        rng = random.Random(2203)
+        for n in (1, 2, 3, 4, 5, 6):
+            for _ in range(10):
+                rows = [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                if RatMatrix(rows).determinant() == 0:
+                    continue
+                assert RatMatrix(rows).solve(rhs) == gauss_solve(rows, rhs)
+
+    def test_solve_rejects_float_rhs(self):
+        with pytest.raises(TypeError):
+            RatMatrix([[2, 0], [0, 1]]).solve([0.5, 1.0])
+        with pytest.raises(TypeError):
+            RatMatrix([[2, 0], [0, 1]]).solve([Fraction(1, 2), 1.0])
+
+    def test_prime_sequence_is_every_prime_below_2_to_61_in_order(self):
+        # the table and the search past it list the primes from 2^61 - 1 down
+        # with none skipped
+        primes = list(islice(basis_module._primes(), len(basis_module._PRIME_OFFSETS) + 8))
+        assert primes[0] == FIRST_PRIME == 2**61 - 1
+        assert all(fermat_prime(p) for p in primes)
+        for high, low in zip(primes, primes[1:]):
+            assert low < high
+            assert not any(fermat_prime(c) for c in range(low + 2, high, 2))
+
+    def test_solve_with_the_first_prime_as_a_denominator(self):
+        p = FIRST_PRIME
+        rows = [[Fraction(1, p), Fraction(2)], [Fraction(3), Fraction(5, p)]]
+        x = [Fraction(7, 3), Fraction(-2, p)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        assert RatMatrix(rows).solve(rhs) == x
+        assert RatMatrix(rows).solve([Fraction(1, p), Fraction(1, p)]) == gauss_solve(
+            rows, [Fraction(1, p), Fraction(1, p)]
+        )
+
+    def test_solve_singular_mod_the_first_prime_only(self, monkeypatch):
+        p = FIRST_PRIME
+        calls = []
+        determinant = RatMatrix.determinant
+
+        def counted(self):
+            calls.append(self.rows)
+            return determinant(self)
+
+        monkeypatch.setattr(RatMatrix, "determinant", counted)
+        assert RatMatrix([[p, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p), 1]
+        assert calls == [2]  # singularity is decided once, exactly
+        calls.clear()
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix([[p, 2 * p], [1, 2]]).solve([1, 1])
+        assert calls == [2]
+
+    def test_solve_needs_several_primes_for_500_bit_numerators(self, monkeypatch):
+        rng = random.Random(500)
+        rows = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
+        assert RatMatrix(rows).determinant() != 0
+        x = [Fraction(rng.getrandbits(500) | 1 << 499, rng.randint(1, 10**6)) for _ in range(4)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        primes = []
+        solve_mod = basis_module._solve_mod
+
+        def counted(system, p):
+            primes.append(p)
+            return solve_mod(system, p)
+
+        monkeypatch.setattr(basis_module, "_solve_mod", counted)
+        assert RatMatrix(rows).solve(rhs) == x
+        # a 500-bit numerator cannot be read back modulo fewer than 9 primes
+        assert len(primes) >= 9
+        assert primes == sorted(set(primes), reverse=True)
+
+    def test_solve_one_by_one(self):
+        assert RatMatrix([[3]]).solve([5]) == [Fraction(5, 3)]
+        assert RatMatrix([[Fraction(-2, 7)]]).solve([Fraction(4, 9)]) == [Fraction(-14, 9)]
+        assert RatMatrix([[FIRST_PRIME]]).solve([1]) == [Fraction(1, FIRST_PRIME)]
+        assert RatMatrix([[7]]).solve([0]) == [0]
+        with pytest.raises(ValueError, match="singular"):
+            RatMatrix([[0]]).solve([1])
+
+    def test_solve_never_returns_an_unchecked_answer(self, monkeypatch):
+        # a reconstruction that is always wrong must end in ArithmeticError at
+        # the Hadamard bound, neither looping on nor returning its candidate
+        monkeypatch.setattr(
+            basis_module, "_reconstruct_vector", lambda residues, m: [Fraction(0)] * len(residues)
+        )
+        with pytest.raises(ArithmeticError):
+            RatMatrix([[1, 2], [3, 4]]).solve([1, 1])
 
     def test_solve_shape_checks(self):
         with pytest.raises(ValueError):
@@ -325,3 +424,65 @@ class TestExpress:
         with pytest.raises(SpanError) as info:
             express(eisenstein(4, 16), basis)
         assert info.value.index == 0
+
+
+def reference_express(target, basis):
+    """express() rebuilt on the Fraction elimination oracle and Fraction sums."""
+    elements = basis.elements
+    limit = target.precision
+    coords = []
+    if elements:
+        shift = int(basis.kind is BasisKind.NEW_S)
+        window = range(shift, shift + len(elements))
+        coords = gauss_solve(
+            [[el.series.coefficient(j) for el in elements] for j in window],
+            [target.coefficient(j) for j in window],
+        )
+        limit = min([limit] + [el.series.precision for el in elements])
+    for j in range(limit):
+        actual = sum((c * el.series.coefficient(j) for c, el in zip(coords, elements)), Fraction(0))
+        if actual != target.coefficient(j):
+            raise SpanError(j, target.coefficient(j), actual)
+    return coords
+
+
+def bump(series, index):
+    coeffs = list(series.coeffs)
+    coeffs[index] += 1
+    return QSeries(series.weight, tuple(coeffs))
+
+
+def outcome(fn, target, basis):
+    try:
+        return fn(target, basis)
+    except SpanError as exc:
+        return ("span", exc.index, exc.expected, exc.actual, str(exc))
+
+
+class TestExpressAgainstReference:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_matches_fraction_reference_through_weight_96(self, kind):
+        rng = random.Random(9601 + list(BasisKind).index(kind))
+        for weight in range(4, 98, 2):
+            precision = 2 * dimension_data(weight).dim_modular + 8
+            basis = basis_for(weight, kind, precision)
+            coords = [
+                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                for _ in basis.elements
+            ]
+            target = QSeries.zero(weight, precision)
+            for c, el in zip(coords, basis.elements):
+                target = target + c * el.series
+            shift = int(kind is BasisKind.NEW_S)
+            window_end = shift + len(basis.elements)
+            cases = [(target, coords), (bump(target, rng.randrange(window_end, precision)), None)]
+            if basis.elements:
+                cases.append((bump(target, rng.randrange(shift, window_end)), None))
+            for case, want in cases:
+                got = outcome(express, case, basis)
+                assert got == outcome(reference_express, case, basis), (weight, kind)
+                if want is not None:
+                    assert got == want
+                else:
+                    assert got[0] == "span"
+
