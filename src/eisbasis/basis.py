@@ -76,6 +76,9 @@ class Single:
     def label(self) -> str:
         return f"G_{self.weight}"
 
+    def realize(self, precision: int) -> QSeries:
+        return eisenstein(self.weight, precision)
+
 
 @dataclass(frozen=True)
 class Product:
@@ -86,6 +89,9 @@ class Product:
 
     def label(self) -> str:
         return f"G_{self.u}*G_{self.v}"
+
+    def realize(self, precision: int) -> QSeries:
+        return eisenstein_product(self.u, self.v, precision)
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,10 @@ class CuspCombo:
         if self.c < 0:
             return f"G_{self.u}*G_{self.v} - {-self.c}*{tail}"
         return f"G_{self.u}*G_{self.v} + {self.c}*{tail}"
+
+    def realize(self, precision: int) -> QSeries:
+        product = eisenstein_product(self.u, self.v, precision)
+        return product + self.c * eisenstein(self.u + self.v, precision)
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,14 @@ class Basis:
     def labels(self) -> list[str]:
         return [el.descriptor.label() for el in self.elements]
 
+    @property
+    def window(self) -> range:
+        """Indices of the coefficients that pair with the elements in a
+        square system: a_0..a_{n-1}, or a_1..a_n for the cusp kind, whose
+        constant terms all vanish."""
+        start = 1 if self.kind is BasisKind.NEW_S else 0
+        return range(start, start + len(self.elements))
+
 
 def default_precision(weight: int) -> int:
     """Construction precision covering the solve-plus-verification windows
@@ -162,24 +180,12 @@ def new_basis_descriptors(weight: int) -> list[Descriptor]:
     return descriptors
 
 
-def _realize(descriptor: Descriptor, precision: int) -> QSeries:
-    if isinstance(descriptor, Single):
-        return eisenstein(descriptor.weight, precision)
-    if isinstance(descriptor, Product):
-        return eisenstein_product(descriptor.u, descriptor.v, precision)
-    if isinstance(descriptor, CuspCombo):
-        product = eisenstein_product(descriptor.u, descriptor.v, precision)
-        correction = descriptor.c * eisenstein(descriptor.u + descriptor.v, precision)
-        return product + correction
-    raise TypeError(f"unknown descriptor {descriptor!r}")
-
-
 def new_basis(weight: int, precision: int | None = None) -> Basis:
     """The G_{2k}-plus-products basis for the full weight-2k space."""
     if precision is None:
         precision = default_precision(weight)
     elements = tuple(
-        BasisElement(d, _realize(d, precision)) for d in new_basis_descriptors(weight)
+        BasisElement(d, d.realize(precision)) for d in new_basis_descriptors(weight)
     )
     return Basis(weight, BasisKind.NEW_M, precision, elements)
 
@@ -205,10 +211,9 @@ def cusp_basis(weight: int, precision: int | None = None) -> Basis:
             f"precision {precision} too small for weight {weight}: need >= {dims.dim_cusp + 2}"
         )
     elements = []
-    for descriptor in new_basis_descriptors(weight)[1:]:
-        assert isinstance(descriptor, Product)
-        combo = CuspCombo(descriptor.u, descriptor.v, cusp_correction(descriptor.u, descriptor.v))
-        series = _realize(combo, precision)
+    for product in new_basis_descriptors(weight)[1:]:
+        combo = CuspCombo(product.u, product.v, cusp_correction(product.u, product.v))
+        series = combo.realize(precision)
         if series.coefficient(0) != 0:
             raise ArithmeticError(
                 f"constant term failed to cancel for {combo.label()}: {series.coefficient(0)}"
@@ -574,26 +579,20 @@ class VerificationReport:
 def verify_report(basis: Basis) -> VerificationReport:
     """Certify an already-built basis.
 
-    Full-space kinds: determinant of the leading square matrix of
-    coefficients a_0..a_{n-1}.  Cusp kind: every constant term must vanish
-    exactly, and the square matrix of coefficients a_1..a_n must be
-    non-singular.
+    The square matrix with one row per element, holding its coefficients
+    over ``basis.window``, must be non-singular.  Cusp kind: every constant
+    term must also vanish exactly.
     """
     dims = dimension_data(basis.weight)
     count = len(basis.elements)
+    det = None
+    if count:
+        rows = [[el.series.coefficient(j) for j in basis.window] for el in basis.elements]
+        det = RatMatrix(rows).determinant()
     if basis.kind is BasisKind.NEW_S:
-        expected = dims.dim_cusp
         vanish = all(el.series.coefficient(0) == 0 for el in basis.elements)
-        det = None
-        if count:
-            inner = RatMatrix(
-                [[el.series.coefficient(j) for j in range(1, count + 1)] for el in basis.elements]
-            )
-            det = inner.determinant()
-        return VerificationReport(basis.weight, basis.kind, count, expected, det, vanish)
-    expected = dims.dim_modular
-    det = coefficient_matrix(basis, count).determinant() if count else None
-    return VerificationReport(basis.weight, basis.kind, count, expected, det, None)
+        return VerificationReport(basis.weight, basis.kind, count, dims.dim_cusp, det, vanish)
+    return VerificationReport(basis.weight, basis.kind, count, dims.dim_modular, det, None)
 
 
 def verify_basis(weight: int, kind: BasisKind | str, precision: int | None = None) -> VerificationReport:
@@ -616,12 +615,11 @@ class SpanError(ValueError):
 def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
-    The square system on the first dim-many coefficients (shifted past the
-    constant term for the cusp kind) is solved by RatMatrix.solve, then the
-    reconstruction is compared, in integers over common denominators,
-    against every available coefficient.  Any mismatch raises SpanError
-    carrying the first bad index: the input is not in the span, i.e. not a
-    modular form of this weight.
+    The square system on the coefficients in ``basis.window`` is solved by
+    RatMatrix.solve, then the reconstruction is compared, in integers over
+    common denominators, against every available coefficient.  Any
+    mismatch raises SpanError carrying the first bad index: the input is
+    not in the span, i.e. not a modular form of this weight.
     """
     if target.weight != basis.weight:
         raise ValueError(
@@ -642,13 +640,10 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"basis precision {element_precision} too small for expression: "
                 f"rebuild with precision >= {window}"
             )
-        solve_indices = (
-            range(1, count + 1) if basis.kind is BasisKind.NEW_S else range(count)
-        )
         matrix = RatMatrix(
-            [[el.series.coefficient(j) for el in basis.elements] for j in solve_indices]
+            [[el.series.coefficient(j) for el in basis.elements] for j in basis.window]
         )
-        coords = matrix.solve([target.coefficient(j) for j in solve_indices])
+        coords = matrix.solve([target.coefficient(j) for j in basis.window])
         limit = min(target.precision, element_precision)
     else:
         coords = []

@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .arith import dimension_data, dimension_oracle
@@ -99,21 +100,27 @@ def series_from_document(obj) -> QSeries:
     return QSeries(weight, tuple(parse_rational(c) for c in coefficients))
 
 
-def _descriptor_to_document(descriptor) -> dict:
-    if isinstance(descriptor, Single):
-        return {"type": "single", "weight": descriptor.weight}
-    if isinstance(descriptor, Product):
-        return {"type": "product", "u": descriptor.u, "v": descriptor.v}
-    if isinstance(descriptor, CuspCombo):
-        return {
-            "type": "cusp-combo",
-            "u": descriptor.u,
-            "v": descriptor.v,
-            "c": format_rational(descriptor.c),
-        }
-    if isinstance(descriptor, Monomial):
-        return {"type": "monomial", "g4_exponent": descriptor.alpha, "g6_exponent": descriptor.beta}
-    raise TypeError(f"unknown descriptor {descriptor!r}")
+# The descriptor format: each document tag names a descriptor class and the
+# document keys of its fields, in field order.  The correction "c" is the
+# only rational field and is written as a rational string (in CSV, in its
+# own column); every other field is an integer.
+_DESCRIPTORS = {
+    "single": (Single, ("weight",)),
+    "product": (Product, ("u", "v")),
+    "cusp-combo": (CuspCombo, ("u", "v", "c")),
+    "monomial": (Monomial, ("g4_exponent", "g6_exponent")),
+}
+_TAGS = {cls: tag for tag, (cls, _) in _DESCRIPTORS.items()}
+
+
+def _descriptor_document(descriptor) -> dict:
+    tag = _TAGS[type(descriptor)]
+    _, keys = _DESCRIPTORS[tag]
+    doc = {"type": tag}
+    for key, field in zip(keys, fields(descriptor)):
+        value = getattr(descriptor, field.name)
+        doc[key] = format_rational(value) if key == "c" else value
+    return doc
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -123,19 +130,21 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
+def _list_field(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _descriptor_from_document(obj) -> Single | Product | CuspCombo | Monomial:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("descriptor must be an object with a 'type' key")
     kind = obj["type"]
-    if kind == "single":
-        return Single(_int_field(obj, "weight"))
-    if kind == "product":
-        return Product(_int_field(obj, "u"), _int_field(obj, "v"))
-    if kind == "cusp-combo":
-        return CuspCombo(_int_field(obj, "u"), _int_field(obj, "v"), parse_rational(obj["c"]))
-    if kind == "monomial":
-        return Monomial(_int_field(obj, "g4_exponent"), _int_field(obj, "g6_exponent"))
-    raise ValueError(f"unknown descriptor type {kind!r}")
+    if kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown descriptor type {kind!r}")
+    cls, keys = _DESCRIPTORS[kind]
+    return cls(*(parse_rational(obj[k]) if k == "c" else _int_field(obj, k) for k in keys))
 
 
 def basis_to_document(basis: Basis) -> dict:
@@ -145,7 +154,7 @@ def basis_to_document(basis: Basis) -> dict:
         "precision": basis.precision,
         "elements": [
             {
-                "descriptor": _descriptor_to_document(el.descriptor),
+                "descriptor": _descriptor_document(el.descriptor),
                 "label": el.descriptor.label(),
                 "coefficients": [format_rational(c) for c in el.series.coeffs],
             }
@@ -162,9 +171,9 @@ def basis_from_document(obj) -> Basis:
         kind = BasisKind(obj["kind"])
         precision = _int_field(obj, "precision")
         elements = []
-        for index, entry in enumerate(obj["elements"]):
+        for index, entry in enumerate(_list_field(obj, "elements")):
             descriptor = _descriptor_from_document(entry["descriptor"])
-            coeffs = tuple(parse_rational(c) for c in entry["coefficients"])
+            coeffs = tuple(parse_rational(c) for c in _list_field(entry, "coefficients"))
             if len(coeffs) != precision:
                 raise ValueError(
                     f"document precision {precision} does not match the "
@@ -200,14 +209,6 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _csv_descriptor(descriptor) -> str:
-    # the c column carries the cusp correction, so the descriptor cell
-    # keeps a symbolic placeholder
-    if isinstance(descriptor, CuspCombo):
-        return f"G_{descriptor.u}*G_{descriptor.v} + c*G_{descriptor.u + descriptor.v}"
-    return descriptor.label()
-
-
 def _cmd_basis(args) -> int:
     dims = dimension_data(args.weight)
     precision = args.prec if args.prec is not None else default_precision(args.weight)
@@ -223,11 +224,14 @@ def _cmd_basis(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["descriptor", "c"] + [f"a_{i}" for i in range(basis.precision)])
         for el in basis.elements:
-            c = format_rational(el.descriptor.c) if isinstance(el.descriptor, CuspCombo) else ""
-            writer.writerow(
-                [_csv_descriptor(el.descriptor), c]
-                + [format_rational(x) for x in el.series.coeffs]
-            )
+            doc = _descriptor_document(el.descriptor)
+            c = doc.get("c", "")
+            # the c column carries the correction, so the descriptor cell
+            # keeps a symbolic placeholder
+            cell = el.descriptor.label()
+            if c:
+                cell = f"G_{doc['u']}*G_{doc['v']} + c*G_{doc['u'] + doc['v']}"
+            writer.writerow([cell, c] + [format_rational(x) for x in el.series.coeffs])
     else:
         print(
             f"# basis weight={basis.weight} kind={basis.kind.value} "
@@ -239,51 +243,24 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _tamper(basis: Basis) -> Basis:
-    """Deterministically break one coefficient so verification must fail.
-
-    A nonzero constant term trips the cusp vanishing check; for the
-    single-element full-space basis of a cuspless weight a zeroed constant
-    term makes the 1x1 coefficient matrix singular.
-    """
-    element = basis.elements[0]
-    bad = Fraction(1) if basis.kind is BasisKind.NEW_S else Fraction(0)
-    coeffs = (bad,) + element.series.coeffs[1:]
-    broken = BasisElement(element.descriptor, QSeries(element.series.weight, coeffs))
-    return Basis(basis.weight, basis.kind, basis.precision, (broken,) + basis.elements[1:])
-
-
 def _cmd_verify(args) -> int:
     dimension_data(args.max_weight)
     all_ok = True
     for weight in range(4, args.max_weight + 1, 2):
         oracle = dimension_oracle(weight)
-        corrupt_kind = None
-        if args.corrupt_weight == weight:
-            corrupt_kind = (
-                BasisKind.NEW_S if dimension_data(weight).dim_cusp else BasisKind.NEW_M
-            )
-        reports = []
-        for kind in (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S):
-            basis = basis_for(weight, kind)
-            if kind is corrupt_kind:
-                basis = _tamper(basis)
-            reports.append(verify_report(basis))
+        reports = [
+            verify_report(basis_for(weight, kind))
+            for kind in (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
+        ]
         new_m, classical, new_s = reports
         checks = [
             ("dim", new_m.element_count == new_m.expected_count == oracle),
-            ("new-m det", new_m.determinant is not None and new_m.determinant != 0),
-            (
-                "classical det",
-                classical.determinant is not None and classical.determinant != 0,
-            ),
+            ("new-m det", new_m.determinant != 0),
+            ("classical det", classical.determinant != 0),
             ("cusp a_0", new_s.constant_terms_vanish is True),
-            (
-                "cusp det",
-                new_s.determinant != 0 if new_s.determinant is not None else True,
-            ),
+            ("cusp det", new_s.determinant != 0),
         ]
-        ok = all(flag for _, flag in checks) and new_s.counts_match
+        ok = all(report.confirmed for report in reports) and new_m.expected_count == oracle
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
         detail = "  ".join(f"{name}:{'ok' if flag else 'BAD'}" for name, flag in checks)
@@ -345,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify all bases up to a weight bound")
     p_verify.add_argument("--max-weight", type=int, required=True)
-    p_verify.add_argument("--corrupt-weight", type=int, default=None, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_express = sub.add_parser("express", help="coordinates of a series in a chosen basis")

@@ -35,6 +35,4 @@ def eisenstein_product(u: int, v: int, precision: int) -> QSeries:
     Coefficient n is the convolution sum over l of
     sigma_{u-1}(l) * sigma_{v-1}(n-l), with the m = 0 convention above.
     """
-    _check_weight(u)
-    _check_weight(v)
     return eisenstein(u, precision) * eisenstein(v, precision)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
-from eisbasis import QSeries, eisenstein
+from eisbasis import Basis, BasisElement, BasisKind, QSeries, dimension_data, eisenstein
 
 
 def bernoulli_table(n: int) -> list[Fraction]:
@@ -95,6 +95,32 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fractio
         acc = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
         x[k] = acc / a[k][k]
     return x
+
+
+def tamper(basis: Basis) -> Basis:
+    """The basis with one coefficient broken so that verification must fail.
+
+    A nonzero constant term trips the cusp vanishing check; for the
+    single-element full-space basis of a cuspless weight a zeroed constant
+    term makes the 1x1 coefficient matrix singular.
+    """
+    element = basis.elements[0]
+    bad = Fraction(1) if basis.kind is BasisKind.NEW_S else Fraction(0)
+    coeffs = (bad,) + element.series.coeffs[1:]
+    broken = BasisElement(element.descriptor, QSeries(element.series.weight, coeffs))
+    return Basis(basis.weight, basis.kind, basis.precision, (broken,) + basis.elements[1:])
+
+
+def tampered_at(basis_for, weight: int):
+    """`basis_for`, except that at `weight` one basis comes back tampered:
+    new-s where the weight has cusp forms, new-m where it has none."""
+    bad_kind = BasisKind.NEW_S if dimension_data(weight).dim_cusp else BasisKind.NEW_M
+
+    def build(w, kind, precision=None):
+        basis = basis_for(w, kind, precision)
+        return tamper(basis) if w == weight and BasisKind(kind) is bad_kind else basis
+
+    return build
 
 
 # Ramanujan tau values tau(1)..tau(20), frozen from the delta_series

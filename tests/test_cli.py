@@ -1,9 +1,12 @@
+import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
+import eisbasis.cli
 from eisbasis import BasisKind, basis_for, eisenstein
 from eisbasis.cli import (
     basis_from_document,
@@ -11,10 +14,11 @@ from eisbasis.cli import (
     format_rational,
     main,
     parse_rational,
+    run,
     series_from_document,
     series_to_document,
 )
-from helpers import delta_series
+from helpers import delta_series, tampered_at
 
 
 def run_cli(capsys, *argv):
@@ -79,11 +83,27 @@ class TestBasisDocuments:
         with pytest.raises(ValueError, match="precision 999"):
             basis_from_document(doc)
 
-    @pytest.mark.parametrize("field, bad", [("weight", "abc"), ("weight", True), ("u", 4.0)])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("weight", "abc"),
+            ("weight", True),
+            ("u", 4.0),
+            # a string of sixteen digits must not load as sixteen coefficients
+            ("coefficients", "1111111111111111"),
+            ("elements", "abc"),
+            ("elements", {"descriptor": {"type": "single", "weight": 12}}),
+        ],
+    )
     def test_rejects_non_integer_descriptor_field(self, field, bad):
         doc = basis_to_document(basis_for(12, BasisKind.NEW_M, 16))
-        descriptor = doc["elements"][0 if field == "weight" else 1]["descriptor"]
-        descriptor[field] = bad
+        owner = {
+            "elements": doc,
+            "coefficients": doc["elements"][0],
+            "weight": doc["elements"][0]["descriptor"],
+            "u": doc["elements"][1]["descriptor"],
+        }[field]
+        owner[field] = bad
         with pytest.raises(ValueError, match=field):
             basis_from_document(doc)
 
@@ -188,6 +208,39 @@ class TestBasisCommand:
 
             walk(doc)
 
+    # SHA-256 of the stdout of `eisbasis basis --weight W --kind K --format F`
+    # at the default precision, both parity classes; captured before the
+    # descriptor format moved into one table, so any change here is a
+    # change of output format
+    GOLDEN = {
+        (36, "new-m", "json"): "3759738f39b3ff247bdd42c9dccf12a3a57340d004a3d1a14f3c142680c94aa7",
+        (36, "new-m", "csv"): "bad5c5c4858b82637113edcdd4ec2ca645acecbda007f06100019811a0147dac",
+        (36, "new-m", "text"): "8eaccc1ef233757828107645ecdde780905af3ed257d27ff5454e7b416bee15e",
+        (36, "new-s", "json"): "7cd564e940614e464e47b4a27fda33b1c89b1429546419fd2b427441c0b366fa",
+        (36, "new-s", "csv"): "ebd03761fc6883074a2491ab319c87003fafca516d599d5468484426c88f3e42",
+        (36, "new-s", "text"): "b99dc06bcaccf982ba21a42fe903b78475d51d665a83a2dbd4e6f6bd71694e8f",
+        (36, "classical", "json"): "060ee07c80ce9a367df73d13cbd20bcfa6ca1b0a23d05e217b6fcc01b1c32e03",
+        (36, "classical", "csv"): "576b8baaf6718a5b28bf324b4de8721dbc1c3f0feb960fa68c58b6a928fb39b4",
+        (36, "classical", "text"): "381ae1eb20f5e230abeec1136c1561e08d23260912966bcdf164bd3365bb231b",
+        (38, "new-m", "json"): "7a9ac1031691c507fc51b9968e7443c8746c5cb71fcfb6ffb2d2387f160056d6",
+        (38, "new-m", "csv"): "a2899a8a4d396b0284056c9a4441b8d6056f998839fab59282bae15f402c2ad7",
+        (38, "new-m", "text"): "a507e9add7a651ed511b9c47f7c96f6c6187673b6d41305cf323472eada57244",
+        (38, "new-s", "json"): "9f3215571d41997886192f9a3f811824277cbc823569f869378da0e89fead7ae",
+        (38, "new-s", "csv"): "cc6090eea0946e9633ccd5e2cb67651ebce2121ff5d40fd55fb6052ff50a9637",
+        (38, "new-s", "text"): "84de037f7bb6dc283e7939f930428dd762fb33532107e0df51f5a37e53a2cd57",
+        (38, "classical", "json"): "d4e6ec457538ea1983ab3c894ab2ecafac616530975dd1c16b193dbe695cbd78",
+        (38, "classical", "csv"): "fee7240a5e8eb0c6102890c0fb4795fde546a0c03c5f7137cd5c126af4ad3417",
+        (38, "classical", "text"): "6b72786590a2c246710b2df9582ecb16498ad798b5894b69b802adc46274d34f",
+    }
+
+    @pytest.mark.parametrize("weight, kind, fmt", sorted(GOLDEN))
+    def test_output_is_byte_identical_to_golden(self, capsys, weight, kind, fmt):
+        code, out, _ = run_cli(
+            capsys, "basis", "--weight", str(weight), "--kind", kind, "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[weight, kind, fmt]
+
 
 class TestVerifyCommand:
     def test_sweep_passes_in_ascending_order(self, capsys):
@@ -207,17 +260,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "all pass (59 weights)" in out
 
-    def test_corruption_hook_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--max-weight", "12", "--corrupt-weight", "12"
-        )
+    def test_corruption_hook_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(eisbasis.cli, "basis_for", tampered_at(eisbasis.cli.basis_for, 12))
+        code, out, _ = run_cli(capsys, "verify", "--max-weight", "12")
         assert code == 1
         assert "FAIL" in out
 
-    def test_corruption_hook_at_cuspless_weight(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--max-weight", "4", "--corrupt-weight", "4"
-        )
+    def test_corruption_hook_at_cuspless_weight(self, capsys, monkeypatch):
+        monkeypatch.setattr(eisbasis.cli, "basis_for", tampered_at(eisbasis.cli.basis_for, 4))
+        code, out, _ = run_cli(capsys, "verify", "--max-weight", "4")
         assert code == 1
 
     def test_invalid_bound(self, capsys):
@@ -297,3 +348,19 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dims", "--weight", "12"], 0),
+        (["dims", "--weight", "7"], 2),
+        (["express", "--weight", "12", "--kind", "new-m", "--input", "absent.json"], 2),
+    ],
+)
+def test_console_script_exits_with_main_code(capsys, monkeypatch, tmp_path, argv, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["eisbasis"] + argv)
+    with pytest.raises(SystemExit) as info:
+        run()
+    assert info.value.code == code

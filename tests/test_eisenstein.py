@@ -92,6 +92,7 @@ def test_product_matches_convolution_sum():
             assert eisenstein_product(u, v, 20).coeffs == direct
 
 
-def test_product_rejects_weight_two_factor():
-    with pytest.raises(ValueError):
-        eisenstein_product(2, 10, 5)
+@pytest.mark.parametrize("u, v", [(2, 10), (10, 2), (5, 7)])
+def test_product_rejects_weight_two_factor(u, v):
+    with pytest.raises(ValueError, match="weight"):
+        eisenstein_product(u, v, 5)
