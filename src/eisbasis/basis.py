@@ -10,9 +10,16 @@ Three families are built:
                     multiple of G_{2k} so the constant term cancels,
 * ``classical``  -- the monomials G_4^alpha * G_6^beta.
 
+Construction shares its work.  The products G_u * G_v are cached per
+precision, so new-s reuses the products new-m built; the powers of G_4 and
+G_6 sit in one table per (weight, precision) that every classical basis
+draws from, so a monomial costs a lookup plus at most one multiply.  Like
+the eisenstein() cache, both live for the life of the process.
+
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
-square matrix of q-coefficients has nonzero exact determinant.  A form in
+square matrix of q-coefficients has nonzero exact determinant, computed by
+fraction-free elimination on the series' integer numerators.  A form in
 the weight-2k space vanishing in its first dim-many coefficients is zero,
 so that pairing is non-degenerate and the determinant test is sound.
 
@@ -31,7 +38,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .arith import bernoulli, dimension_data
+from .arith import _check_weight, bernoulli, dimension_data
 from .eisenstein import eisenstein, eisenstein_product
 from .qseries import QSeries, _numerators
 
@@ -130,6 +137,39 @@ class Monomial:
             parts.append("G_6" if self.beta == 1 else f"G_6^{self.beta}")
         return "*".join(parts)
 
+    def realize(self, precision: int) -> QSeries:
+        """A lookup in the shared G_4 and G_6 power tables, plus one
+        multiply when both exponents are nonzero."""
+        alpha, beta = self.alpha, self.beta
+        if not beta:
+            return _eisenstein_power(4, alpha, precision)
+        if not alpha:
+            return _eisenstein_power(6, beta, precision)
+        return _eisenstein_power(4, alpha, precision) * _eisenstein_power(6, beta, precision)
+
+
+# (weight, precision) -> {exponent: G_weight^exponent}, for the life of the
+# process, like the eisenstein() cache
+_power_tables: dict[tuple[int, int], dict[int, QSeries]] = {}
+
+
+def _eisenstein_power(weight: int, exponent: int, precision: int) -> QSeries:
+    """G_weight^exponent from its shared power table.  A missing power is
+    filled upwards from the highest one known, one multiply per power.
+    Entries are keyed by exponent, so a concurrent fill is idempotent: at
+    worst two callers repeat a multiply and store the same value."""
+    if exponent < 1:
+        raise ValueError(f"power exponent must be a positive integer, got {exponent}")
+    table = _power_tables.setdefault((weight, precision), {})
+    if not table:
+        table[1] = eisenstein(weight, precision)
+    known = exponent
+    while known not in table:
+        known -= 1
+    for e in range(known, exponent):
+        table[e + 1] = table[e] * table[1]
+    return table[exponent]
+
 
 Descriptor = Single | Product | CuspCombo | Monomial
 
@@ -193,6 +233,8 @@ def new_basis(weight: int, precision: int | None = None) -> Basis:
 def cusp_correction(u: int, v: int) -> Fraction:
     """The coefficient c making G_u * G_v + c * G_{u+v} a cusp form:
     (B_u / u) * (B_v / v) * (k / B_{u+v}) where u + v = 2k."""
+    _check_weight(u)
+    _check_weight(v)
     weight = u + v
     return (bernoulli(u) / u) * (bernoulli(v) / v) * (Fraction(weight, 2) / bernoulli(weight))
 
@@ -239,33 +281,13 @@ def classical_exponents(weight: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _powers(base: QSeries, top: int) -> list[QSeries]:
-    """[base, base^2, ..., base^top], each power one multiply from the last."""
-    powers = [base]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * base)
-    return powers
-
-
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
-    """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space.
-
-    The powers G_4^1..G_4^alpha_max and G_6^1..G_6^beta_max are built once
-    per call, so each monomial is a table lookup plus at most one multiply.
-    """
+    """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
     if precision is None:
         precision = default_precision(weight)
-    exponents = classical_exponents(weight)
-    g4 = _powers(eisenstein(4, precision), max(alpha for alpha, _ in exponents))
-    g6 = _powers(eisenstein(6, precision), max(beta for _, beta in exponents))
-    elements = []
-    for alpha, beta in exponents:
-        if alpha and beta:
-            series = g4[alpha - 1] * g6[beta - 1]
-        else:
-            series = g4[alpha - 1] if alpha else g6[beta - 1]
-        elements.append(BasisElement(Monomial(alpha, beta), series))
-    return Basis(weight, BasisKind.CLASSICAL, precision, tuple(elements))
+    monomials = [Monomial(alpha, beta) for alpha, beta in classical_exponents(weight)]
+    elements = tuple(BasisElement(d, d.realize(precision)) for d in monomials)
+    return Basis(weight, BasisKind.CLASSICAL, precision, elements)
 
 
 def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) -> Basis:
@@ -279,13 +301,17 @@ def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) 
 
 class RatMatrix:
     """Dense matrix of exact rationals with an exact determinant and a
-    linear solve that is modular inside but certified exactly."""
+    linear solve that is modular inside but certified exactly.
+
+    Each row is kept cleared: integer numerators over the least common
+    denominator of the row's entries.
+    """
 
     def __init__(self, rows):
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0])
-        entries = []
+        cleared = []
         for row in rows:
             if len(row) != width:
                 raise ValueError("matrix rows must all have the same length")
@@ -294,12 +320,23 @@ class RatMatrix:
                 if isinstance(x, float):
                     raise TypeError("float entries are not allowed; use Fraction or int")
                 checked.append(Fraction(x))
-            entries.append(checked)
-        self._rows = entries
+            cleared.append(_numerators(checked))
+        self._rows = cleared
+
+    @classmethod
+    def _from_numerators(cls, rows) -> RatMatrix:
+        """The matrix whose row i is rows[i][0] over rows[i][1] > 0, for
+        rows of equal nonzero length; each row is brought to lowest terms."""
+        matrix = cls.__new__(cls)
+        matrix._rows = []
+        for numerators, den in rows:
+            g = gcd(den, *numerators)
+            matrix._rows.append(([v // g for v in numerators], den // g))
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -307,30 +344,29 @@ class RatMatrix:
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len(self._rows[0][0])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        numerators, den = self._rows[i]
+        return Fraction(numerators[j], den)
 
     def row_list(self) -> list[list[Fraction]]:
-        return [row[:] for row in self._rows]
+        return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
 
     def determinant(self) -> Fraction:
         """Exact determinant.
 
-        Denominators are cleared row by row, then Bareiss fraction-free
-        elimination runs over plain integers (every division below is
-        exact); the row scalings divide back out at the end.
+        Bareiss fraction-free elimination runs over the cleared integer
+        rows (every division below is exact); the row denominators divide
+        back out at the end.  After step k every entry of a row below the
+        pivot is a minor bordering the leading (k+1)-square block, so a row
+        that becomes all zero is a combination of the pivot rows and the
+        determinant is 0 without further steps.
         """
         n = self.rows
         if n != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {n}x{self.cols}")
-        scale = 1
-        m = []
-        for row in self._rows:
-            den = lcm(*(x.denominator for x in row))
-            scale *= den
-            m.append([int(x * den) for x in row])
+        m = [list(numerators) for numerators, _ in self._rows]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -342,12 +378,16 @@ class RatMatrix:
                         break
                 else:
                     return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], scale)
+            pivot, top = m[k][k], m[k][k + 1 :]
+            # column k below the pivot is never read again
+            for row in m[k + 1 :]:
+                factor = row[k]
+                tail = [(pivot * v - factor * t) // prev for v, t in zip(row[k + 1 :], top)]
+                if not any(tail):
+                    return Fraction(0)
+                row[k + 1 :] = tail
+            prev = pivot
+        return Fraction(sign * m[n - 1][n - 1], prod(den for _, den in self._rows))
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly, by a modular method certified exactly.
@@ -373,7 +413,12 @@ class RatMatrix:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
         if any(isinstance(b, float) for b in rhs):
             raise TypeError("float right-hand sides are not allowed; use Fraction or int")
-        system = [_numerators(row + [Fraction(b)])[0] for row, b in zip(self._rows, rhs)]
+        system = []
+        for (numerators, den), b in zip(self._rows, rhs):
+            b = Fraction(b)
+            common = lcm(den, b.denominator)
+            row = [v * (common // den) for v in numerators]
+            system.append(row + [b.numerator * (common // b.denominator)])
         hadamard = prod(isqrt(sum(v * v for v in row)) + 1 for row in system)
         limit = 2 * hadamard * hadamard
         residues, modulus, rounds, next_try = [0] * n, 1, 0, 1
@@ -544,7 +589,9 @@ def coefficient_matrix(basis: Basis, n: int) -> RatMatrix:
     shallow = min(el.series.precision for el in basis.elements)
     if n > shallow:
         raise ValueError(f"requested {n} coefficients but an element only has {shallow}")
-    return RatMatrix([[el.series.coefficient(j) for j in range(n)] for el in basis.elements])
+    return RatMatrix._from_numerators(
+        [(el.series.numerators[:n], el.series.denominator) for el in basis.elements]
+    )
 
 
 @dataclass(frozen=True)
@@ -587,10 +634,14 @@ def verify_report(basis: Basis) -> VerificationReport:
     count = len(basis.elements)
     det = None
     if count:
-        rows = [[el.series.coefficient(j) for j in basis.window] for el in basis.elements]
-        det = RatMatrix(rows).determinant()
+        start, stop = basis.window.start, basis.window.stop
+        shallow = min(el.series.precision for el in basis.elements)
+        if shallow < stop:
+            raise ValueError(f"certifying needs {stop} coefficients; an element has {shallow}")
+        rows = [(el.series.numerators[start:stop], el.series.denominator) for el in basis.elements]
+        det = RatMatrix._from_numerators(rows).determinant()
     if basis.kind is BasisKind.NEW_S:
-        vanish = all(el.series.coefficient(0) == 0 for el in basis.elements)
+        vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
         return VerificationReport(basis.weight, basis.kind, count, dims.dim_cusp, det, vanish)
     return VerificationReport(basis.weight, basis.kind, count, dims.dim_modular, det, None)
 
@@ -633,6 +684,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
             f"coefficients to solve and then verify"
         )
     count = len(basis.elements)
+    limit = target.precision
     if count:
         element_precision = min(el.series.precision for el in basis.elements)
         if element_precision < window:
@@ -640,21 +692,22 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"basis precision {element_precision} too small for expression: "
                 f"rebuild with precision >= {window}"
             )
-        matrix = RatMatrix(
-            [[el.series.coefficient(j) for el in basis.elements] for j in basis.window]
-        )
+        limit = min(limit, element_precision)
+    # column j of the coefficient table, every element over the lcm L of
+    # the elements' denominators
+    series = [el.series for el in basis.elements]
+    common = lcm(*[s.denominator for s in series])
+    scales = [common // s.denominator for s in series]
+    columns = [[s.numerators[j] * c for s, c in zip(series, scales)] for j in range(limit)]
+    coords = []
+    if count:
+        matrix = RatMatrix._from_numerators([(columns[j], common) for j in basis.window])
         coords = matrix.solve([target.coefficient(j) for j in basis.window])
-        limit = min(target.precision, element_precision)
-    else:
-        coords = []
-        limit = target.precision
-    # integer comparison: coords = N / D, column j = A_j / L_j, so the
-    # reconstruction sum(N * A_j) / (D * L_j) must equal t_j
+    # integer comparison: coords = N / D and t_j = T_j / E, so the
+    # reconstruction sum(N * columns[j]) / (D * L) must equal T_j / E
     nums, den = _numerators(coords)
     for j in range(limit):
-        column, column_den = _numerators([el.series.coefficient(j) for el in basis.elements])
-        total = sum(map(mul, nums, column))
-        expected = target.coefficient(j)
-        if total * expected.denominator != expected.numerator * den * column_den:
-            raise SpanError(j, expected, Fraction(total, den * column_den))
+        total = sum(map(mul, nums, columns[j]))
+        if total * target.denominator != target.numerators[j] * den * common:
+            raise SpanError(j, target.coefficient(j), Fraction(total, den * common))
     return coords

@@ -29,6 +29,7 @@ from .basis import (
     Single,
     SpanError,
     basis_for,
+    cusp_correction,
     default_precision,
     express,
     verify_report,
@@ -144,7 +145,10 @@ def _descriptor_from_document(obj) -> Single | Product | CuspCombo | Monomial:
     if kind not in _DESCRIPTORS:
         raise ValueError(f"unknown descriptor type {kind!r}")
     cls, keys = _DESCRIPTORS[kind]
-    return cls(*(parse_rational(obj[k]) if k == "c" else _int_field(obj, k) for k in keys))
+    descriptor = cls(*(parse_rational(obj[k]) if k == "c" else _int_field(obj, k) for k in keys))
+    if "c" in keys and descriptor.c != cusp_correction(descriptor.u, descriptor.v):
+        raise ValueError(f"{descriptor.label()}: c is not the cusp correction of its factors")
+    return descriptor
 
 
 def basis_to_document(basis: Basis) -> dict:
@@ -163,7 +167,28 @@ def basis_to_document(basis: Basis) -> dict:
     }
 
 
+def _realized(index: int, descriptor, weight: int, coeffs: tuple) -> QSeries:
+    """The descriptor of element `index` realized at len(coeffs) terms; it
+    must have the document weight and reproduce `coeffs` exactly."""
+    series = descriptor.realize(len(coeffs))
+    if series.weight != weight:
+        raise ValueError(
+            f"element {index} ({descriptor.label()}) has weight {series.weight}, "
+            f"but the document weight is {weight}"
+        )
+    if QSeries(weight, coeffs) != series:
+        j = next(j for j, c in enumerate(coeffs) if c != series.coefficient(j))
+        raise ValueError(
+            f"element {index} ({descriptor.label()}) differs from what its "
+            f"descriptor gives at coefficient index {j}"
+        )
+    return series
+
+
 def basis_from_document(obj) -> Basis:
+    """The basis a document describes.  Every descriptor is realized again
+    at the document precision and must reproduce its element's
+    coefficients exactly, so a tampered document is rejected."""
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
     try:
@@ -179,7 +204,7 @@ def basis_from_document(obj) -> Basis:
                     f"document precision {precision} does not match the "
                     f"{len(coeffs)} coefficients of element {index}"
                 )
-            elements.append(BasisElement(descriptor, QSeries(weight, coeffs)))
+            elements.append(BasisElement(descriptor, _realized(index, descriptor, weight, coeffs)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
     return Basis(weight, kind, precision, tuple(elements))
@@ -346,3 +371,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -29,10 +29,13 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     return QSeries(weight, tuple(sigma(weight - 1, m) for m in range(precision)))
 
 
+@lru_cache(maxsize=None)
 def eisenstein_product(u: int, v: int, precision: int) -> QSeries:
     """The product G_u * G_v as a weight-(u+v) series of the given precision.
 
     Coefficient n is the convolution sum over l of
     sigma_{u-1}(l) * sigma_{v-1}(n-l), with the m = 0 convention above.
+    Results are cached like eisenstein(), so the cusp basis reuses the
+    products of the full-space basis.
     """
     return eisenstein(u, precision) * eisenstein(v, precision)

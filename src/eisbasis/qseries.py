@@ -4,19 +4,28 @@ Every series carries a weight tag: addition demands equal weights and
 multiplication adds them, so accidentally combining forms of different
 weight fails loudly instead of producing a meaningless coefficient list.
 
-Series-by-series multiplication uses Kronecker substitution: each operand's
-coefficients are brought over one common denominator, the integer
-numerators are packed into a single Python int (one byte-aligned slot per
-coefficient, wide enough for any coefficient of the product), one bigint
-multiply does the whole convolution, and the low slots are unpacked again.
-Coefficients stay exact Fractions on both sides of the multiply.
+A series is stored as a tuple of integer numerators over one positive
+common denominator, in lowest terms: gcd(denominator, *numerators) == 1.
+That form is canonical, so two series with equal coefficients compare and
+hash equal however they were built.  Addition, negation, scaling,
+truncation and multiplication work on those integers alone; `coeffs` and
+`coefficient()` build Fractions only at the API edge, for callers that
+read them, and the constructor still accepts any ints and Fractions.
+
+Series-by-series multiplication uses Kronecker substitution: the integer
+numerators of each operand are packed into a single Python int (one
+byte-aligned slot per coefficient, wide enough for any coefficient of the
+product), one bigint multiply does the whole convolution, the low slots
+are unpacked again, and the result lies over the product of the two
+denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 __all__ = ["QSeries"]
 
@@ -35,7 +44,7 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _kronecker(a: list[int], b: list[int]) -> list[int]:
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """The low len(a) coefficients of the product of the integer
     polynomials a and b, which have equal length, by one bigint multiply.
 
@@ -61,54 +70,86 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
-@dataclass(frozen=True)
+def _series(weight: int, numerators, denominator: int) -> QSeries:
+    """The series numerators / denominator (denominator > 0), brought to
+    lowest terms.  The weight is taken as given."""
+    g = gcd(denominator, *numerators)
+    if g != 1:
+        numerators = [v // g for v in numerators]
+        denominator //= g
+    series = object.__new__(QSeries)
+    object.__setattr__(series, "weight", weight)
+    object.__setattr__(series, "numerators", tuple(numerators))
+    object.__setattr__(series, "denominator", denominator)
+    return series
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class QSeries:
     """A q-expansion a_0 + a_1 q + ... + a_{N-1} q^{N-1}, truncated at N terms.
 
     Instances are immutable; every operation returns a new series.  The
     result of a binary operation keeps the minimum of the two precisions,
-    which is all the convolution actually determines.
+    which is all the convolution actually determines.  a_n is
+    ``numerators[n] / denominator``.
     """
 
     weight: int
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        if self.weight % 2 != 0 or self.weight < 4:
-            raise ValueError(f"series weight must be an even integer >= 4, got {self.weight}")
-        if len(self.coeffs) == 0:
+    def __init__(self, weight: int, coeffs):
+        if weight % 2 != 0 or weight < 4:
+            raise ValueError(f"series weight must be an even integer >= 4, got {weight}")
+        fractions = [_as_fraction(c) for c in coeffs]
+        if not fractions:
             raise ValueError("a series needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
+        # over the lcm of reduced denominators the numerators are coprime to it
+        numerators, denominator = _numerators(fractions)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def zero(cls, weight: int, precision: int) -> QSeries:
         if precision < 1:
             raise ValueError(f"precision must be positive, got {precision}")
-        return cls(weight, (Fraction(0),) * precision)
+        return cls(weight, (0,) * precision)
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self.numerators)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions.  Built on first use and kept, so
+        reading ``coeffs[j]`` in a loop costs one Fraction per coefficient,
+        not one per read; no arithmetic reads it."""
+        den = self.denominator
+        return tuple([Fraction(v, den) for v in self.numerators])
 
     def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.coeffs):
-            raise ValueError(f"coefficient index {n} outside precision {len(self.coeffs)}")
-        return self.coeffs[n]
+        if not 0 <= n < len(self.numerators):
+            raise ValueError(f"coefficient index {n} outside precision {len(self.numerators)}")
+        return Fraction(self.numerators[n], self.denominator)
 
     def truncate(self, precision: int) -> QSeries:
-        if not 1 <= precision <= len(self.coeffs):
-            raise ValueError(f"cannot truncate precision {len(self.coeffs)} to {precision}")
-        return QSeries(self.weight, self.coeffs[:precision])
+        if not 1 <= precision <= len(self.numerators):
+            raise ValueError(f"cannot truncate precision {len(self.numerators)} to {precision}")
+        return _series(self.weight, self.numerators[:precision], self.denominator)
 
     def __add__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.weight != other.weight:
             raise ValueError(f"cannot add series of weights {self.weight} and {other.weight}")
-        return QSeries(self.weight, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.denominator, other.denominator)
+        sa, sb = den // self.denominator, den // other.denominator
+        numerators = [a * sa + b * sb for a, b in zip(self.numerators, other.numerators)]
+        return _series(self.weight, numerators, den)
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.weight, tuple(-a for a in self.coeffs))
+        return _series(self.weight, [-a for a in self.numerators], self.denominator)
 
     def __sub__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
@@ -117,15 +158,15 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            n = min(len(self.coeffs), len(other.coeffs))
-            a, da = _numerators(self.coeffs[:n])
-            b, db = _numerators(other.coeffs[:n])
-            den = da * db
-            coeffs = tuple(Fraction(c, den) for c in _kronecker(a, b))
-            return QSeries(self.weight + other.weight, coeffs)
+            n = min(len(self.numerators), len(other.numerators))
+            product = _kronecker(self.numerators[:n], other.numerators[:n])
+            return _series(
+                self.weight + other.weight, product, self.denominator * other.denominator
+            )
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return QSeries(self.weight, tuple(a * c for a in self.coeffs))
+            numerators = [a * c.numerator for a in self.numerators]
+            return _series(self.weight, numerators, self.denominator * c.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -145,9 +186,10 @@ class QSeries:
 
     def equals_to_precision(self, other: QSeries, n: int) -> bool:
         """Exact coefficient-wise equality of the first n terms."""
-        if n < 1 or n > len(self.coeffs) or n > len(other.coeffs):
+        if n < 1 or n > len(self.numerators) or n > len(other.numerators):
             raise ValueError(f"comparison window {n} exceeds a series precision")
-        return self.coeffs[:n] == other.coeffs[:n]
+        da, db = self.denominator, other.denominator
+        return all(a * db == b * da for a, b in zip(self.numerators[:n], other.numerators))
 
     def __str__(self):
         terms = []
@@ -160,9 +202,9 @@ class QSeries:
                 q = "q" if i == 1 else f"q^{i}"
                 terms.append(q if a == 1 else f"{a}*{q}")
         body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(q^{len(self.coeffs)})"
+        return f"{body} + O(q^{self.precision})"
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
-        tail = ", ..." if len(self.coeffs) > 4 else ""
-        return f"QSeries(weight={self.weight}, precision={len(self.coeffs)}, coeffs=({head}{tail}))"
+        tail = ", ..." if self.precision > 4 else ""
+        return f"QSeries(weight={self.weight}, precision={self.precision}, coeffs=({head}{tail}))"

@@ -26,6 +26,7 @@ from eisbasis import (
     express,
     new_basis,
     new_basis_descriptors,
+    sigma,
     verify_basis,
     verify_report,
 )
@@ -111,6 +112,34 @@ class TestClassicalBasis:
                     expected = g4**alpha if alpha else g6**beta
                 assert el.series == expected, el.descriptor
 
+    def test_shared_tables_match_fresh_products_as_precision_moves(self):
+        # the power tables and the product cache are shared across calls;
+        # an entry keyed without its precision would come back at the
+        # wrong length or with the wrong coefficients
+        weight = 48
+        for precision in (16, 24, 40, 24, 16, 12):
+
+            def fresh(w):
+                return QSeries(w, tuple(sigma(w - 1, m) for m in range(precision)))
+
+            g4, g6 = fresh(4), fresh(6)
+            for el in classical_basis(weight, precision).elements:
+                alpha, beta = el.descriptor.alpha, el.descriptor.beta
+                if alpha and beta:
+                    expected = g4**alpha * g6**beta
+                else:
+                    expected = g4**alpha if alpha else g6**beta
+                assert el.series == expected, (precision, el.descriptor)
+            new_m = new_basis(weight, precision).elements
+            assert new_m[0].series == fresh(weight)
+            for el in new_m[1:]:
+                expected = fresh(el.descriptor.u) * fresh(el.descriptor.v)
+                assert el.series == expected, (precision, el.descriptor)
+            for el in cusp_basis(weight, precision).elements:
+                u, v, c = el.descriptor.u, el.descriptor.v, el.descriptor.c
+                expected = fresh(u) * fresh(v) + c * fresh(weight)
+                assert el.series == expected, (precision, el.descriptor)
+
     def test_labels(self):
         assert [el.descriptor.label() for el in classical_basis(36, 6).elements] == [
             "G_4^9",
@@ -172,6 +201,38 @@ class TestRatMatrix:
             for _ in range(12):
                 rows = [
                     [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                assert RatMatrix(rows).determinant() == det_leibniz(rows)
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_dependent_row_matches_permutation_expansion(self, position):
+        # the elimination stops at the first row that clears to zero; a
+        # combination of two other rows must give 0 wherever it sits
+        rng = random.Random(4241)
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                rows = [
+                    [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+                    for _ in range(n - 1)
+                ]
+                i, j = rng.randrange(n - 1), rng.randrange(n - 1)
+                a, b = Fraction(rng.randint(-4, 4), rng.randint(1, 4)), rng.randint(-3, 3)
+                combination = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+                index = {"first": 0, "middle": (n - 1) // 2, "last": n - 1}[position]
+                rows.insert(index, combination)
+                assert det_leibniz(rows) == 0
+                assert RatMatrix(rows).determinant() == 0
+
+    def test_sparse_matrices_match_permutation_expansion(self):
+        # mostly-zero rows often clear to zero in part without the matrix
+        # being singular
+        rng = random.Random(8191)
+        for n in (2, 3, 4, 5):
+            for _ in range(40):
+                rows = [
+                    [Fraction(rng.choice((0, 0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
+                     for _ in range(n)]
                     for _ in range(n)
                 ]
                 assert RatMatrix(rows).determinant() == det_leibniz(rows)
@@ -332,6 +393,13 @@ class TestVerification:
         report = verify_report(Basis(12, BasisKind.NEW_S, basis.precision, (broken,)))
         assert report.constant_terms_vanish is False
         assert not report.confirmed
+
+    def test_element_shorter_than_the_window_is_rejected(self):
+        basis = cusp_basis(36)
+        last = basis.elements[-1]
+        short = basis.elements[:-1] + (BasisElement(last.descriptor, last.series.truncate(3)),)
+        with pytest.raises(ValueError, match="coefficient"):
+            verify_report(Basis(36, BasisKind.NEW_S, basis.precision, short))
 
     def test_duplicated_row_is_rejected(self):
         basis = new_basis(12)

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +108,56 @@ class TestBasisDocuments:
         }[field]
         owner[field] = bad
         with pytest.raises(ValueError, match=field):
+            basis_from_document(doc)
+
+
+class TestBasisDocumentRealization:
+    """A document must be exactly what its descriptors realize."""
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_rejects_tampered_coefficient(self, kind):
+        doc = basis_to_document(basis_for(36, kind, 16))
+        coefficients = doc["elements"][2]["coefficients"]
+        coefficients[9] = format_rational(parse_rational(coefficients[9]) + Fraction(1, 7))
+        with pytest.raises(ValueError, match=r"element 2 .* coefficient index 9"):
+            basis_from_document(doc)
+
+    def test_rejects_correction_other_than_cusp_correction(self):
+        # coefficients consistent with the wrong c: only the c check sees it
+        basis = basis_for(36, BasisKind.NEW_S, 16)
+        doc = basis_to_document(basis)
+        descriptor = basis.elements[1].descriptor
+        wrong = descriptor.c + 1
+        u, v = descriptor.u, descriptor.v
+        series = eisenstein(u, 16) * eisenstein(v, 16) + wrong * eisenstein(36, 16)
+        doc["elements"][1]["descriptor"]["c"] = format_rational(wrong)
+        doc["elements"][1]["coefficients"] = [format_rational(c) for c in series.coeffs]
+        with pytest.raises(ValueError, match="correction"):
+            basis_from_document(doc)
+
+    def test_rejects_document_weight_other_than_descriptor_weight(self):
+        doc = basis_to_document(basis_for(36, BasisKind.NEW_M, 16))
+        doc["weight"] = 38
+        with pytest.raises(ValueError, match="element 0 .* weight 36"):
+            basis_from_document(doc)
+
+    def test_rejects_descriptor_weight_other_than_document_weight(self):
+        doc = basis_to_document(basis_for(36, BasisKind.CLASSICAL, 16))
+        doc["elements"][1]["descriptor"]["g6_exponent"] += 1
+        with pytest.raises(ValueError, match="element 1 .* weight 42"):
+            basis_from_document(doc)
+
+    def test_rejects_factor_of_weight_zero(self):
+        # the correction check must not divide by the factor weight 0
+        doc = basis_to_document(basis_for(36, BasisKind.NEW_S, 16))
+        doc["elements"][0]["descriptor"].update(u=0, v=36)
+        with pytest.raises(ValueError, match="weight"):
+            basis_from_document(doc)
+
+    def test_rejects_negative_monomial_exponent(self):
+        doc = basis_to_document(basis_for(12, BasisKind.CLASSICAL, 16))
+        doc["elements"][0]["descriptor"].update(g4_exponent=-3, g6_exponent=4)
+        with pytest.raises(ValueError, match="exponent"):
             basis_from_document(doc)
 
 
@@ -364,3 +417,39 @@ def test_console_script_exits_with_main_code(capsys, monkeypatch, tmp_path, argv
     with pytest.raises(SystemExit) as info:
         run()
     assert info.value.code == code
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("module", ["eisbasis", "eisbasis.cli"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-weight", "3"],
+        ["verify", "--max-weight", "16"],
+        ["dims", "--weight", "12"],
+        ["frobnicate"],
+    ],
+    ids=["bad-bound", "sweep", "dims", "unknown-command"],
+)
+def test_python_m_behaves_like_console_script(capsys, monkeypatch, module, argv):
+    monkeypatch.setattr(sys, "argv", ["eisbasis"] + argv)
+    with pytest.raises(SystemExit) as info:
+        run()
+    captured = capsys.readouterr()
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        info.value.code,
+        captured.out,
+        captured.err,
+    )
+    if argv[-1] == "3":
+        assert proc.returncode == 2 and "error" in proc.stderr
