@@ -1,69 +1,46 @@
 """eisbasis: exact Eisenstein-product bases for level-one modular forms.
 
 Everything is computed over arbitrary-precision rationals; no floating
-point appears anywhere in the library or its output.
+point appears anywhere in the library or its output.  The public names are
+those in ``__all__``; the serialization helpers and the command line live
+in ``eisbasis.cli``.
 """
 
-from .arith import DimensionData, bernoulli, dimension_data, dimension_oracle, sigma
+from .arith import dimension_data
 from .basis import (
     Basis,
     BasisElement,
-    BasisKind,
-    CuspCombo,
-    Monomial,
-    Product,
     RatMatrix,
-    Single,
     SpanError,
-    VerificationReport,
     basis_for,
     classical_basis,
-    classical_exponents,
-    coefficient_matrix,
     cusp_basis,
     cusp_correction,
     default_precision,
     express,
     new_basis,
-    new_basis_descriptors,
     verify_basis,
     verify_report,
 )
 from .eisenstein import eisenstein, eisenstein_product
 from .qseries import QSeries
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "DimensionData",
-    "bernoulli",
-    "dimension_data",
-    "dimension_oracle",
-    "sigma",
     "QSeries",
     "eisenstein",
     "eisenstein_product",
+    "dimension_data",
     "Basis",
     "BasisElement",
-    "BasisKind",
-    "CuspCombo",
-    "Monomial",
-    "Product",
     "RatMatrix",
-    "Single",
     "SpanError",
-    "VerificationReport",
     "basis_for",
-    "classical_basis",
-    "classical_exponents",
-    "coefficient_matrix",
+    "new_basis",
     "cusp_basis",
+    "classical_basis",
     "cusp_correction",
     "default_precision",
     "express",
-    "new_basis",
-    "new_basis_descriptors",
     "verify_basis",
     "verify_report",
-    "__version__",
 ]

@@ -7,14 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-__all__ = [
-    "bernoulli",
-    "sigma",
-    "DimensionData",
-    "dimension_data",
-    "dimension_oracle",
-]
-
 # Even-index Bernoulli cache, filled in ascending order.  Entries are
 # immutable and keyed by index, so a concurrent fill is idempotent: at
 # worst two callers repeat the same work and store the same values.

@@ -42,31 +42,6 @@ from .arith import _check_weight, bernoulli, dimension_data
 from .eisenstein import eisenstein, eisenstein_product
 from .qseries import QSeries, _numerators
 
-__all__ = [
-    "BasisKind",
-    "Single",
-    "Product",
-    "CuspCombo",
-    "Monomial",
-    "BasisElement",
-    "Basis",
-    "RatMatrix",
-    "SpanError",
-    "VerificationReport",
-    "default_precision",
-    "new_basis_descriptors",
-    "new_basis",
-    "cusp_correction",
-    "cusp_basis",
-    "classical_exponents",
-    "classical_basis",
-    "basis_for",
-    "coefficient_matrix",
-    "verify_report",
-    "verify_basis",
-    "express",
-]
-
 
 class BasisKind(str, Enum):
     NEW_M = "new-m"
@@ -94,6 +69,10 @@ class Product:
     u: int
     v: int
 
+    @property
+    def weight(self) -> int:
+        return self.u + self.v
+
     def label(self) -> str:
         return f"G_{self.u}*G_{self.v}"
 
@@ -111,15 +90,19 @@ class CuspCombo:
     v: int
     c: Fraction
 
+    @property
+    def weight(self) -> int:
+        return self.u + self.v
+
     def label(self) -> str:
-        tail = f"G_{self.u + self.v}"
+        tail = f"G_{self.weight}"
         if self.c < 0:
             return f"G_{self.u}*G_{self.v} - {-self.c}*{tail}"
         return f"G_{self.u}*G_{self.v} + {self.c}*{tail}"
 
     def realize(self, precision: int) -> QSeries:
         product = eisenstein_product(self.u, self.v, precision)
-        return product + self.c * eisenstein(self.u + self.v, precision)
+        return product + self.c * eisenstein(self.weight, precision)
 
 
 @dataclass(frozen=True)
@@ -128,6 +111,10 @@ class Monomial:
 
     alpha: int
     beta: int
+
+    @property
+    def weight(self) -> int:
+        return 4 * self.alpha + 6 * self.beta
 
     def label(self) -> str:
         parts = []
@@ -205,6 +192,18 @@ def default_precision(weight: int) -> int:
     return max(dimension_data(weight).dim_cusp + 10, 16)
 
 
+def _checked_precision(weight: int, precision: int | None) -> int:
+    """`precision`, or default_precision(weight) when it is None.  Fewer
+    than dim_cusp + 2 terms cannot hold the square window a basis is
+    certified on, so a smaller precision is rejected."""
+    if precision is None:
+        return default_precision(weight)
+    floor = dimension_data(weight).dim_cusp + 2
+    if precision < floor:
+        raise ValueError(f"precision {precision} too small for weight {weight}: need >= {floor}")
+    return precision
+
+
 def new_basis_descriptors(weight: int) -> list[Descriptor]:
     """G_{2k} first, then the product pairs in increasing first-factor order.
 
@@ -222,8 +221,7 @@ def new_basis_descriptors(weight: int) -> list[Descriptor]:
 
 def new_basis(weight: int, precision: int | None = None) -> Basis:
     """The G_{2k}-plus-products basis for the full weight-2k space."""
-    if precision is None:
-        precision = default_precision(weight)
+    precision = _checked_precision(weight, precision)
     elements = tuple(
         BasisElement(d, d.realize(precision)) for d in new_basis_descriptors(weight)
     )
@@ -245,13 +243,7 @@ def cusp_basis(weight: int, precision: int | None = None) -> Basis:
     Every element's constant term is checked to vanish exactly during
     construction; a nonzero value would be an arithmetic bug, not bad input.
     """
-    dims = dimension_data(weight)
-    if precision is None:
-        precision = default_precision(weight)
-    elif precision < dims.dim_cusp + 2:
-        raise ValueError(
-            f"precision {precision} too small for weight {weight}: need >= {dims.dim_cusp + 2}"
-        )
+    precision = _checked_precision(weight, precision)
     elements = []
     for product in new_basis_descriptors(weight)[1:]:
         combo = CuspCombo(product.u, product.v, cusp_correction(product.u, product.v))
@@ -283,8 +275,7 @@ def classical_exponents(weight: int) -> list[tuple[int, int]]:
 
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
     """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
-    if precision is None:
-        precision = default_precision(weight)
+    precision = _checked_precision(weight, precision)
     monomials = [Monomial(alpha, beta) for alpha, beta in classical_exponents(weight)]
     elements = tuple(BasisElement(d, d.realize(precision)) for d in monomials)
     return Basis(weight, BasisKind.CLASSICAL, precision, elements)
@@ -303,40 +294,25 @@ class RatMatrix:
     """Dense matrix of exact rationals with an exact determinant and a
     linear solve that is modular inside but certified exactly.
 
-    Each row is kept cleared: integer numerators over the least common
-    denominator of the row's entries.
+    It is built from cleared rows: row i is a pair (numerators, denominator)
+    of integers, denominator > 0, holding the entries numerators[j] /
+    denominator.  There must be at least one row, and every row must have
+    the same nonzero number of entries.  Each row is kept in lowest terms.
     """
 
     def __init__(self, rows):
-        if not rows or not rows[0]:
+        if not rows or not rows[0][0]:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(rows[0])
-        cleared = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("matrix rows must all have the same length")
-            checked = []
-            for x in row:
-                if isinstance(x, float):
-                    raise TypeError("float entries are not allowed; use Fraction or int")
-                checked.append(Fraction(x))
-            cleared.append(_numerators(checked))
-        self._rows = cleared
-
-    @classmethod
-    def _from_numerators(cls, rows) -> RatMatrix:
-        """The matrix whose row i is rows[i][0] over rows[i][1] > 0, for
-        rows of equal nonzero length; each row is brought to lowest terms."""
-        matrix = cls.__new__(cls)
-        matrix._rows = []
+        width = len(rows[0][0])
+        self._rows = []
         for numerators, den in rows:
+            if len(numerators) != width:
+                raise ValueError("matrix rows must all have the same length")
+            if den < 1:
+                raise ValueError(f"row denominators must be positive, got {den}")
+            # gcd takes integers only: a float entry raises TypeError here
             g = gcd(den, *numerators)
-            matrix._rows.append(([v // g for v in numerators], den // g))
-        return matrix
-
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+            self._rows.append(([v // g for v in numerators], den // g))
 
     @property
     def rows(self) -> int:
@@ -345,10 +321,6 @@ class RatMatrix:
     @property
     def cols(self) -> int:
         return len(self._rows[0][0])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        numerators, den = self._rows[i]
-        return Fraction(numerators[j], den)
 
     def row_list(self) -> list[list[Fraction]]:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
@@ -580,20 +552,6 @@ def _satisfies(system: list[list[int]], x: list[Fraction]) -> bool:
     return all(sum(map(mul, row, nums)) == row[-1] * den for row in system)
 
 
-def coefficient_matrix(basis: Basis, n: int) -> RatMatrix:
-    """Matrix whose row i holds coefficients a_0..a_{n-1} of element i."""
-    if n < 1:
-        raise ValueError(f"need at least one coefficient column, got {n}")
-    if not basis.elements:
-        raise ValueError("basis has no elements")
-    shallow = min(el.series.precision for el in basis.elements)
-    if n > shallow:
-        raise ValueError(f"requested {n} coefficients but an element only has {shallow}")
-    return RatMatrix._from_numerators(
-        [(el.series.numerators[:n], el.series.denominator) for el in basis.elements]
-    )
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the exact basis certification for one weight and kind.
@@ -639,7 +597,7 @@ def verify_report(basis: Basis) -> VerificationReport:
         if shallow < stop:
             raise ValueError(f"certifying needs {stop} coefficients; an element has {shallow}")
         rows = [(el.series.numerators[start:stop], el.series.denominator) for el in basis.elements]
-        det = RatMatrix._from_numerators(rows).determinant()
+        det = RatMatrix(rows).determinant()
     if basis.kind is BasisKind.NEW_S:
         vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
         return VerificationReport(basis.weight, basis.kind, count, dims.dim_cusp, det, vanish)
@@ -701,7 +659,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     columns = [[s.numerators[j] * c for s, c in zip(series, scales)] for j in range(limit)]
     coords = []
     if count:
-        matrix = RatMatrix._from_numerators([(columns[j], common) for j in basis.window])
+        matrix = RatMatrix([(columns[j], common) for j in basis.window])
         coords = matrix.solve([target.coefficient(j) for j in basis.window])
     # integer comparison: coords = N / D and t_j = T_j / E, so the
     # reconstruction sum(N * columns[j]) / (D * L) must equal T_j / E

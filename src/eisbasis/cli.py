@@ -138,7 +138,13 @@ def _list_field(obj: dict, key: str) -> list:
     return value
 
 
-def _descriptor_from_document(obj) -> Single | Product | CuspCombo | Monomial:
+def _descriptor_from_document(
+    obj, index: int, weight: int
+) -> Single | Product | CuspCombo | Monomial:
+    """The descriptor of element `index`.  Its weight must be the document
+    weight, which is checked before anything is computed from it: a factor
+    weight or an exponent far above the document weight would cost time in
+    proportion to its size."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("descriptor must be an object with a 'type' key")
     kind = obj["type"]
@@ -146,6 +152,11 @@ def _descriptor_from_document(obj) -> Single | Product | CuspCombo | Monomial:
         raise ValueError(f"unknown descriptor type {kind!r}")
     cls, keys = _DESCRIPTORS[kind]
     descriptor = cls(*(parse_rational(obj[k]) if k == "c" else _int_field(obj, k) for k in keys))
+    if descriptor.weight != weight:
+        raise ValueError(
+            f"element {index} ({descriptor.label()}) has weight {descriptor.weight}, "
+            f"but the document weight is {weight}"
+        )
     if "c" in keys and descriptor.c != cusp_correction(descriptor.u, descriptor.v):
         raise ValueError(f"{descriptor.label()}: c is not the cusp correction of its factors")
     return descriptor
@@ -167,16 +178,11 @@ def basis_to_document(basis: Basis) -> dict:
     }
 
 
-def _realized(index: int, descriptor, weight: int, coeffs: tuple) -> QSeries:
+def _realized(index: int, descriptor, coeffs: tuple) -> QSeries:
     """The descriptor of element `index` realized at len(coeffs) terms; it
-    must have the document weight and reproduce `coeffs` exactly."""
+    must reproduce `coeffs` exactly."""
     series = descriptor.realize(len(coeffs))
-    if series.weight != weight:
-        raise ValueError(
-            f"element {index} ({descriptor.label()}) has weight {series.weight}, "
-            f"but the document weight is {weight}"
-        )
-    if QSeries(weight, coeffs) != series:
+    if QSeries(series.weight, coeffs) != series:
         j = next(j for j, c in enumerate(coeffs) if c != series.coefficient(j))
         raise ValueError(
             f"element {index} ({descriptor.label()}) differs from what its "
@@ -197,14 +203,14 @@ def basis_from_document(obj) -> Basis:
         precision = _int_field(obj, "precision")
         elements = []
         for index, entry in enumerate(_list_field(obj, "elements")):
-            descriptor = _descriptor_from_document(entry["descriptor"])
+            descriptor = _descriptor_from_document(entry["descriptor"], index, weight)
             coeffs = tuple(parse_rational(c) for c in _list_field(entry, "coefficients"))
             if len(coeffs) != precision:
                 raise ValueError(
                     f"document precision {precision} does not match the "
                     f"{len(coeffs)} coefficients of element {index}"
                 )
-            elements.append(BasisElement(descriptor, _realized(index, descriptor, weight, coeffs)))
+            elements.append(BasisElement(descriptor, _realized(index, descriptor, coeffs)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed basis document: {exc}") from exc
     return Basis(weight, kind, precision, tuple(elements))
@@ -235,14 +241,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    dims = dimension_data(args.weight)
-    precision = args.prec if args.prec is not None else default_precision(args.weight)
-    if precision < dims.dim_cusp + 2:
-        raise ValueError(
-            f"precision {precision} too small for weight {args.weight}: "
-            f"need >= {dims.dim_cusp + 2}"
-        )
-    basis = basis_for(args.weight, args.kind, precision)
+    basis = basis_for(args.weight, args.kind, args.prec)
     if args.format == "json":
         print(json.dumps(basis_to_document(basis), indent=2))
     elif args.format == "csv":
@@ -362,11 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Coefficients, and the rationals of the user's own files, can be longer
+    # than CPython's int<->str digit limit (4300 by default).  main() owns
+    # its process, so it lifts the limit while it runs and restores it on
+    # return; interpreters before 3.10.7 have no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

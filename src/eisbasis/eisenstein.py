@@ -12,8 +12,6 @@ from functools import lru_cache
 from .arith import _check_weight, sigma
 from .qseries import QSeries
 
-__all__ = ["eisenstein", "eisenstein_product"]
-
 
 @lru_cache(maxsize=None)
 def eisenstein(weight: int, precision: int) -> QSeries:

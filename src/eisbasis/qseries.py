@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-__all__ = ["QSeries"]
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
@@ -183,13 +181,6 @@ class QSeries:
         for _ in range(exponent - 1):
             result = result * self
         return result
-
-    def equals_to_precision(self, other: QSeries, n: int) -> bool:
-        """Exact coefficient-wise equality of the first n terms."""
-        if n < 1 or n > len(self.numerators) or n > len(other.numerators):
-            raise ValueError(f"comparison window {n} exceeds a series precision")
-        da, db = self.denominator, other.denominator
-        return all(a * db == b * da for a, b in zip(self.numerators[:n], other.numerators))
 
     def __str__(self):
         terms = []

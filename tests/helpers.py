@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
-from eisbasis import Basis, BasisElement, BasisKind, QSeries, dimension_data, eisenstein
+from eisbasis import Basis, BasisElement, QSeries, RatMatrix, dimension_data, eisenstein
+from eisbasis.basis import BasisKind
 
 
 def bernoulli_table(n: int) -> list[Fraction]:
@@ -71,6 +72,17 @@ def det_leibniz(rows: list[list[Fraction]]) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def rat_matrix(rows) -> RatMatrix:
+    """The RatMatrix with the given rows of ints and Fractions, each row
+    cleared to integer numerators over the lcm of its denominators."""
+    cleared = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*[x.denominator for x in row])
+        cleared.append(([x.numerator * (den // x.denominator) for x in row], den))
+    return RatMatrix(cleared)
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

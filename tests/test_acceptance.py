@@ -10,18 +10,15 @@ from fractions import Fraction
 
 import eisbasis
 from eisbasis import (
-    BasisKind,
-    bernoulli,
     classical_basis,
     cusp_basis,
-    dimension_oracle,
     eisenstein_product,
     express,
     new_basis,
-    new_basis_descriptors,
-    sigma,
     verify_basis,
 )
+from eisbasis.arith import bernoulli, dimension_oracle, sigma
+from eisbasis.basis import BasisKind, new_basis_descriptors
 from eisbasis.cli import main
 from helpers import TAU, bernoulli_table, brute_sigma, delta_series
 

@@ -4,7 +4,8 @@ from math import comb, gcd
 
 import pytest
 
-from eisbasis import bernoulli, dimension_data, dimension_oracle, sigma
+from eisbasis import dimension_data
+from eisbasis.arith import bernoulli, dimension_oracle, sigma
 from helpers import bernoulli_table, brute_sigma
 
 

@@ -7,31 +7,31 @@ import pytest
 from eisbasis import (
     Basis,
     BasisElement,
-    BasisKind,
-    Monomial,
-    Product,
     QSeries,
     RatMatrix,
-    Single,
     SpanError,
     basis_for,
     classical_basis,
-    classical_exponents,
-    coefficient_matrix,
     cusp_basis,
     cusp_correction,
     dimension_data,
-    dimension_oracle,
     eisenstein,
     express,
     new_basis,
-    new_basis_descriptors,
-    sigma,
     verify_basis,
     verify_report,
 )
 from eisbasis import basis as basis_module
-from helpers import delta_series, det_leibniz, fermat_prime, gauss_solve
+from eisbasis.arith import dimension_oracle, sigma
+from eisbasis.basis import (
+    BasisKind,
+    Monomial,
+    Product,
+    Single,
+    classical_exponents,
+    new_basis_descriptors,
+)
+from helpers import delta_series, det_leibniz, fermat_prime, gauss_solve, rat_matrix
 
 # the first prime the modular solve works with
 FIRST_PRIME = next(basis_module._primes())
@@ -83,8 +83,10 @@ class TestCuspCorrections:
         assert basis.kind is BasisKind.NEW_S
 
     def test_precision_floor_enforced(self):
-        with pytest.raises(ValueError):
-            cusp_basis(36, 3)
+        # every constructor refuses a precision below dim_cusp + 2
+        for build in (new_basis, cusp_basis, classical_basis):
+            with pytest.raises(ValueError, match="^precision 3 too small for weight 36: need >= 5$"):
+                build(36, 3)
 
 
 class TestClassicalBasis:
@@ -150,50 +152,31 @@ class TestClassicalBasis:
         assert Monomial(1, 1).label() == "G_4*G_6"
 
 
-class TestCoefficientMatrix:
-    def test_weight_12_leading_block(self):
-        m = coefficient_matrix(new_basis(12), 2)
-        assert m.row_list() == [
-            [Fraction(691, 65520), Fraction(1)],
-            [Fraction(1, 115200), Fraction(1, 160)],
-        ]
-
-    def test_zero_columns_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_matrix(new_basis(12), 0)
-
-    def test_cusp_constant_column_is_zero(self):
-        m = coefficient_matrix(cusp_basis(12), 2)
-        assert m.entry(0, 0) == 0
-
-    def test_insufficient_precision_rejected(self):
-        with pytest.raises(ValueError):
-            coefficient_matrix(new_basis(12, 4), 5)
-
-
 class TestRatMatrix:
     def test_identity_determinant(self):
-        assert RatMatrix.identity(3).determinant() == 1
+        assert rat_matrix([[int(i == j) for j in range(3)] for i in range(3)]).determinant() == 1
 
     def test_weight_12_block_determinant(self):
-        m = coefficient_matrix(new_basis(12), 2)
-        assert m.determinant() == Fraction(1, 17472)
+        assert verify_report(new_basis(12)).determinant == Fraction(1, 17472)
 
     def test_repeated_row_is_singular(self):
-        m = RatMatrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+        m = rat_matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
         assert m.determinant() == 0
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            RatMatrix([[1, 2, 3], [4, 5, 6]]).determinant()
+            rat_matrix([[1, 2, 3], [4, 5, 6]]).determinant()
 
     def test_rejects_floats_and_ragged_rows(self):
         with pytest.raises(TypeError):
-            RatMatrix([[0.5]])
+            RatMatrix([([0.5], 1)])
         with pytest.raises(ValueError):
-            RatMatrix([[1, 2], [3]])
+            RatMatrix([([1, 2], 1), ([3], 1)])
         with pytest.raises(ValueError):
             RatMatrix([])
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="denominator"):
+                RatMatrix([([1], den)])
 
     def test_matches_permutation_expansion(self):
         rng = random.Random(1159)
@@ -203,7 +186,7 @@ class TestRatMatrix:
                     [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
                     for _ in range(n)
                 ]
-                assert RatMatrix(rows).determinant() == det_leibniz(rows)
+                assert rat_matrix(rows).determinant() == det_leibniz(rows)
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_dependent_row_matches_permutation_expansion(self, position):
@@ -222,7 +205,7 @@ class TestRatMatrix:
                 index = {"first": 0, "middle": (n - 1) // 2, "last": n - 1}[position]
                 rows.insert(index, combination)
                 assert det_leibniz(rows) == 0
-                assert RatMatrix(rows).determinant() == 0
+                assert rat_matrix(rows).determinant() == 0
 
     def test_sparse_matrices_match_permutation_expansion(self):
         # mostly-zero rows often clear to zero in part without the matrix
@@ -235,10 +218,10 @@ class TestRatMatrix:
                      for _ in range(n)]
                     for _ in range(n)
                 ]
-                assert RatMatrix(rows).determinant() == det_leibniz(rows)
+                assert rat_matrix(rows).determinant() == det_leibniz(rows)
 
     def test_pivoting_handles_leading_zeros(self):
-        m = RatMatrix([[0, 1], [1, 0]])
+        m = rat_matrix([[0, 1], [1, 0]])
         assert m.determinant() == -1
 
     def test_solve_round_trip(self):
@@ -249,7 +232,7 @@ class TestRatMatrix:
                     [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
                     for _ in range(n)
                 ]
-                m = RatMatrix(rows)
+                m = rat_matrix(rows)
                 if m.determinant() == 0:
                     continue
                 x = [Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(n)]
@@ -258,9 +241,9 @@ class TestRatMatrix:
 
     def test_solve_singular_raises(self):
         with pytest.raises(ValueError):
-            RatMatrix([[1, 2], [2, 4]]).solve([1, 1])
+            rat_matrix([[1, 2], [2, 4]]).solve([1, 1])
         with pytest.raises(ValueError, match="singular"):
-            RatMatrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]]).solve([1, 2, 3])
+            rat_matrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]]).solve([1, 2, 3])
 
     def test_solve_matches_fraction_elimination(self):
         rng = random.Random(2203)
@@ -271,15 +254,15 @@ class TestRatMatrix:
                     for _ in range(n)
                 ]
                 rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-                if RatMatrix(rows).determinant() == 0:
+                if rat_matrix(rows).determinant() == 0:
                     continue
-                assert RatMatrix(rows).solve(rhs) == gauss_solve(rows, rhs)
+                assert rat_matrix(rows).solve(rhs) == gauss_solve(rows, rhs)
 
     def test_solve_rejects_float_rhs(self):
         with pytest.raises(TypeError):
-            RatMatrix([[2, 0], [0, 1]]).solve([0.5, 1.0])
+            rat_matrix([[2, 0], [0, 1]]).solve([0.5, 1.0])
         with pytest.raises(TypeError):
-            RatMatrix([[2, 0], [0, 1]]).solve([Fraction(1, 2), 1.0])
+            rat_matrix([[2, 0], [0, 1]]).solve([Fraction(1, 2), 1.0])
 
     def test_prime_sequence_is_every_prime_below_2_to_61_in_order(self):
         # the table and the search past it list the primes from 2^61 - 1 down
@@ -296,8 +279,8 @@ class TestRatMatrix:
         rows = [[Fraction(1, p), Fraction(2)], [Fraction(3), Fraction(5, p)]]
         x = [Fraction(7, 3), Fraction(-2, p)]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        assert RatMatrix(rows).solve(rhs) == x
-        assert RatMatrix(rows).solve([Fraction(1, p), Fraction(1, p)]) == gauss_solve(
+        assert rat_matrix(rows).solve(rhs) == x
+        assert rat_matrix(rows).solve([Fraction(1, p), Fraction(1, p)]) == gauss_solve(
             rows, [Fraction(1, p), Fraction(1, p)]
         )
 
@@ -311,17 +294,17 @@ class TestRatMatrix:
             return determinant(self)
 
         monkeypatch.setattr(RatMatrix, "determinant", counted)
-        assert RatMatrix([[p, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p), 1]
+        assert rat_matrix([[p, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p), 1]
         assert calls == [2]  # singularity is decided once, exactly
         calls.clear()
         with pytest.raises(ValueError, match="singular"):
-            RatMatrix([[p, 2 * p], [1, 2]]).solve([1, 1])
+            rat_matrix([[p, 2 * p], [1, 2]]).solve([1, 1])
         assert calls == [2]
 
     def test_solve_needs_several_primes_for_500_bit_numerators(self, monkeypatch):
         rng = random.Random(500)
         rows = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
-        assert RatMatrix(rows).determinant() != 0
+        assert rat_matrix(rows).determinant() != 0
         x = [Fraction(rng.getrandbits(500) | 1 << 499, rng.randint(1, 10**6)) for _ in range(4)]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
         primes = []
@@ -332,18 +315,18 @@ class TestRatMatrix:
             return solve_mod(system, p)
 
         monkeypatch.setattr(basis_module, "_solve_mod", counted)
-        assert RatMatrix(rows).solve(rhs) == x
+        assert rat_matrix(rows).solve(rhs) == x
         # a 500-bit numerator cannot be read back modulo fewer than 9 primes
         assert len(primes) >= 9
         assert primes == sorted(set(primes), reverse=True)
 
     def test_solve_one_by_one(self):
-        assert RatMatrix([[3]]).solve([5]) == [Fraction(5, 3)]
-        assert RatMatrix([[Fraction(-2, 7)]]).solve([Fraction(4, 9)]) == [Fraction(-14, 9)]
-        assert RatMatrix([[FIRST_PRIME]]).solve([1]) == [Fraction(1, FIRST_PRIME)]
-        assert RatMatrix([[7]]).solve([0]) == [0]
+        assert rat_matrix([[3]]).solve([5]) == [Fraction(5, 3)]
+        assert rat_matrix([[Fraction(-2, 7)]]).solve([Fraction(4, 9)]) == [Fraction(-14, 9)]
+        assert rat_matrix([[FIRST_PRIME]]).solve([1]) == [Fraction(1, FIRST_PRIME)]
+        assert rat_matrix([[7]]).solve([0]) == [0]
         with pytest.raises(ValueError, match="singular"):
-            RatMatrix([[0]]).solve([1])
+            rat_matrix([[0]]).solve([1])
 
     def test_solve_never_returns_an_unchecked_answer(self, monkeypatch):
         # a reconstruction that is always wrong must end in ArithmeticError at
@@ -352,13 +335,13 @@ class TestRatMatrix:
             basis_module, "_reconstruct_vector", lambda residues, m: [Fraction(0)] * len(residues)
         )
         with pytest.raises(ArithmeticError):
-            RatMatrix([[1, 2], [3, 4]]).solve([1, 1])
+            rat_matrix([[1, 2], [3, 4]]).solve([1, 1])
 
     def test_solve_shape_checks(self):
         with pytest.raises(ValueError):
-            RatMatrix([[1, 2]]).solve([1])
+            rat_matrix([[1, 2]]).solve([1])
         with pytest.raises(ValueError):
-            RatMatrix.identity(2).solve([1])
+            rat_matrix([[1, 0], [0, 1]]).solve([1])
 
 
 class TestVerification:

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import eisbasis.arith
+import eisbasis.basis
 import eisbasis.cli
-from eisbasis import BasisKind, basis_for, eisenstein
+from eisbasis import basis_for, eisenstein
+from eisbasis.basis import BasisKind, CuspCombo, Monomial, Product, Single
 from eisbasis.cli import (
     basis_from_document,
     basis_to_document,
@@ -22,6 +25,9 @@ from eisbasis.cli import (
     series_to_document,
 )
 from helpers import delta_series, tampered_at
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "frozen.json"
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +152,43 @@ class TestBasisDocumentRealization:
         doc["elements"][1]["descriptor"]["g6_exponent"] += 1
         with pytest.raises(ValueError, match="element 1 .* weight 42"):
             basis_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "kind, position, key, value, message",
+        [
+            ("classical", 0, "g4_exponent", 10**9,
+             "element 0 (G_4^1000000000) has weight 4000000000, "
+             "but the document weight is 12"),
+            ("new-m", 1, "u", 10**7,
+             "element 0 (G_10000000*G_8) has weight 10000008, "
+             "but the document weight is 12"),
+            ("new-s", 0, "u", 10**7,
+             "element 0 (G_10000000*G_8 - 91/110560*G_10000008) has weight 10000008, "
+             "but the document weight is 12"),
+        ],
+        ids=["monomial", "product", "cusp-combo"],
+    )
+    def test_descriptor_weight_is_checked_before_anything_is_computed(
+        self, monkeypatch, kind, position, key, value, message
+    ):
+        # a huge exponent or factor weight would fill that many table powers,
+        # or compute divisor sums and Bernoulli numbers of that size; the
+        # element under test comes first, so no other element is realized
+        doc = basis_to_document(basis_for(12, kind, 16))
+        doc["elements"] = [doc["elements"][position]]
+        doc["elements"][0]["descriptor"][key] = value
+
+        def unreachable(*args):
+            raise AssertionError("computed from a descriptor of the wrong weight")
+
+        for cls in (Single, Product, CuspCombo, Monomial):
+            monkeypatch.setattr(cls, "realize", unreachable)
+        monkeypatch.setattr(eisbasis.cli, "cusp_correction", unreachable)
+        monkeypatch.setattr(eisbasis.basis, "bernoulli", unreachable)
+        monkeypatch.setattr(eisbasis.arith, "bernoulli", unreachable)
+        with pytest.raises(ValueError) as info:
+            basis_from_document(doc)
+        assert str(info.value) == message
 
     def test_rejects_factor_of_weight_zero(self):
         # the correction check must not divide by the factor weight 0
@@ -328,6 +371,13 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--max-weight", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ["40", "120"])
+    def test_output_matches_the_benchmark_record(self, capsys, bound):
+        # the stdout and exit code the benchmark holds every run to
+        expected = json.loads(FROZEN.read_text(encoding="utf-8"))["verify"][bound]
+        code, out, _ = run_cli(capsys, "verify", "--max-weight", bound)
+        assert (code, out.splitlines()) == (expected["exit_code"], expected["stdout"])
+
 
 def write_series(tmp_path, series, mutate=None):
     doc = series_to_document(series)
@@ -387,6 +437,27 @@ class TestExpressCommand:
             "--input", str(tmp_path / "absent.json"),
         )
         assert code == 2
+
+    def test_rationals_past_the_interpreter_digit_limit(self, capsys, tmp_path):
+        # the README discriminant document scaled by 10^4400: every nonzero
+        # coefficient, and both coordinates, have more than 4300 digits
+        scale = "0" * 4400
+        tau = ["1", "-24", "252", "-1472", "4830", "-6048", "-16744", "84480",
+               "-113643", "-115920", "534612"]
+        doc = {"weight": 12, "precision": 12, "coefficients": ["0"] + [t + scale for t in tau]}
+        path = tmp_path / "delta.json"
+        path.write_text(json.dumps(doc))
+        # interpreters before 3.10.7 have no limit and no getter
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out, err = run_cli(
+            capsys, "express", "--weight", "12", "--kind", "new-m", "--input", str(path)
+        )
+        assert (code, err) == (0, "")
+        # -91/600 * 10^4400 = -455 * 10^4397 / 3 and
+        # 2764/15 * 10^4400 = 5528 * 10^4399 / 3, written without int->str
+        assert json.loads(out) == ["-455" + "0" * 4397 + "/3", "5528" + "0" * 4399 + "/3"]
+        assert get_limit() == limit
 
     def test_short_document_is_usage_error(self, capsys, tmp_path):
         path = write_series(tmp_path, delta_series(6))

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from eisbasis import bernoulli, eisenstein, eisenstein_product, sigma
+from eisbasis import eisenstein, eisenstein_product
+from eisbasis.arith import bernoulli, sigma
 
 
 @pytest.mark.parametrize(

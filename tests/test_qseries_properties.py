@@ -97,4 +97,3 @@ def test_equal_values_by_different_routes_are_equal(a, b, c):
     for s in routes:
         assert s == routes[0]
         assert hash(s) == hash(routes[0])
-        assert s.equals_to_precision(routes[0], n)

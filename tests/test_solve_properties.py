@@ -13,8 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eisbasis import RatMatrix  # noqa: E402
 from eisbasis import basis as basis_module  # noqa: E402
+from helpers import rat_matrix  # noqa: E402
 
 WORKING_PRIMES = list(islice(basis_module._primes(), 2))
 
@@ -43,7 +43,7 @@ def systems(draw):
 @given(systems())
 def test_solve_is_exact_or_rejects_a_singular_matrix(system):
     rows, rhs = system
-    matrix = RatMatrix(rows)
+    matrix = rat_matrix(rows)
     if matrix.determinant() == 0:
         with pytest.raises(ValueError, match="singular"):
             matrix.solve(rhs)
