@@ -48,6 +48,12 @@ class BasisKind(str, Enum):
     NEW_S = "new-s"
     CLASSICAL = "classical"
 
+    def dimension(self, weight: int) -> int:
+        """How many elements a basis of this kind has at `weight`: the
+        dimension of the cusp space for new-s, of the full space otherwise."""
+        dims = dimension_data(weight)
+        return dims.dim_cusp if self is BasisKind.NEW_S else dims.dim_modular
+
 
 @dataclass(frozen=True)
 class Single:
@@ -68,10 +74,6 @@ class Product:
 
     u: int
     v: int
-
-    @property
-    def weight(self) -> int:
-        return self.u + self.v
 
     def label(self) -> str:
         return f"G_{self.u}*G_{self.v}"
@@ -111,10 +113,6 @@ class Monomial:
 
     alpha: int
     beta: int
-
-    @property
-    def weight(self) -> int:
-        return 4 * self.alpha + 6 * self.beta
 
     def label(self) -> str:
         parts = []
@@ -187,8 +185,11 @@ class Basis:
 
 
 def default_precision(weight: int) -> int:
-    """Construction precision covering the solve-plus-verification windows
-    used by express(), with margin."""
+    """The precision a basis is built to when none is given: dim_cusp + 10
+    terms, at least 16.  That covers the certified square window with
+    margin, but express() needs a basis as long as its target, which has
+    at least 2 * dim_modular + 8 terms: more than this from weight 48 on,
+    50 aside."""
     return max(dimension_data(weight).dim_cusp + 10, 16)
 
 
@@ -588,7 +589,6 @@ def verify_report(basis: Basis) -> VerificationReport:
     over ``basis.window``, must be non-singular.  Cusp kind: every constant
     term must also vanish exactly.
     """
-    dims = dimension_data(basis.weight)
     count = len(basis.elements)
     det = None
     if count:
@@ -598,10 +598,11 @@ def verify_report(basis: Basis) -> VerificationReport:
             raise ValueError(f"certifying needs {stop} coefficients; an element has {shallow}")
         rows = [(el.series.numerators[start:stop], el.series.denominator) for el in basis.elements]
         det = RatMatrix(rows).determinant()
+    vanish = None
     if basis.kind is BasisKind.NEW_S:
         vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
-        return VerificationReport(basis.weight, basis.kind, count, dims.dim_cusp, det, vanish)
-    return VerificationReport(basis.weight, basis.kind, count, dims.dim_modular, det, None)
+    expected = basis.kind.dimension(basis.weight)
+    return VerificationReport(basis.weight, basis.kind, count, expected, det, vanish)
 
 
 def verify_basis(weight: int, kind: BasisKind | str, precision: int | None = None) -> VerificationReport:
@@ -626,9 +627,10 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
 
     The square system on the coefficients in ``basis.window`` is solved by
     RatMatrix.solve, then the reconstruction is compared, in integers over
-    common denominators, against every available coefficient.  Any
-    mismatch raises SpanError carrying the first bad index: the input is
-    not in the span, i.e. not a modular form of this weight.
+    common denominators, against every coefficient of the target, so the
+    basis must be at least as long as the target.  Any mismatch raises
+    SpanError carrying the first bad index: the input is not in the span,
+    i.e. not a modular form of this weight.
     """
     if target.weight != basis.weight:
         raise ValueError(
@@ -645,12 +647,11 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     limit = target.precision
     if count:
         element_precision = min(el.series.precision for el in basis.elements)
-        if element_precision < window:
+        if element_precision < limit:
             raise ValueError(
                 f"basis precision {element_precision} too small for expression: "
-                f"rebuild with precision >= {window}"
+                f"rebuild with precision >= {limit}"
             )
-        limit = min(limit, element_precision)
     # column j of the coefficient table, every element over the lcm L of
     # the elements' denominators
     series = [el.series for el in basis.elements]

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .arith import dimension_data, dimension_oracle
 from .basis import (
     Basis,
-    BasisElement,
     BasisKind,
     CuspCombo,
     Monomial,
@@ -29,7 +28,6 @@ from .basis import (
     Single,
     SpanError,
     basis_for,
-    cusp_correction,
     default_precision,
     express,
     verify_report,
@@ -79,21 +77,29 @@ def series_to_document(series: QSeries) -> dict:
     }
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def series_from_document(obj) -> QSeries:
     if not isinstance(obj, dict):
         raise ValueError("series document must be a JSON object")
     extra = set(obj) - {"weight", "precision", "coefficients"}
     if extra:
         raise ValueError(f"unexpected series document keys: {sorted(extra)}")
-    weight = obj.get("weight")
-    precision = obj.get("precision")
-    coefficients = obj.get("coefficients")
-    if not isinstance(weight, int) or isinstance(weight, bool):
-        raise ValueError("series document needs an integer 'weight'")
-    if not isinstance(precision, int) or isinstance(precision, bool):
-        raise ValueError("series document needs an integer 'precision'")
-    if not isinstance(coefficients, list):
-        raise ValueError("series document needs a 'coefficients' list")
+    weight = _int_field(obj, "weight")
+    precision = _int_field(obj, "precision")
+    coefficients = _list_field(obj, "coefficients")
     if len(coefficients) != precision:
         raise ValueError(
             f"document precision {precision} does not match {len(coefficients)} coefficients"
@@ -101,65 +107,25 @@ def series_from_document(obj) -> QSeries:
     return QSeries(weight, tuple(parse_rational(c) for c in coefficients))
 
 
-# The descriptor format: each document tag names a descriptor class and the
+# The descriptor format: each descriptor class has a document tag and the
 # document keys of its fields, in field order.  The correction "c" is the
 # only rational field and is written as a rational string (in CSV, in its
 # own column); every other field is an integer.
 _DESCRIPTORS = {
-    "single": (Single, ("weight",)),
-    "product": (Product, ("u", "v")),
-    "cusp-combo": (CuspCombo, ("u", "v", "c")),
-    "monomial": (Monomial, ("g4_exponent", "g6_exponent")),
+    Single: ("single", ("weight",)),
+    Product: ("product", ("u", "v")),
+    CuspCombo: ("cusp-combo", ("u", "v", "c")),
+    Monomial: ("monomial", ("g4_exponent", "g6_exponent")),
 }
-_TAGS = {cls: tag for tag, (cls, _) in _DESCRIPTORS.items()}
 
 
 def _descriptor_document(descriptor) -> dict:
-    tag = _TAGS[type(descriptor)]
-    _, keys = _DESCRIPTORS[tag]
+    tag, keys = _DESCRIPTORS[type(descriptor)]
     doc = {"type": tag}
     for key, field in zip(keys, fields(descriptor)):
         value = getattr(descriptor, field.name)
         doc[key] = format_rational(value) if key == "c" else value
     return doc
-
-
-def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _list_field(obj: dict, key: str) -> list:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"field {key!r} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _descriptor_from_document(
-    obj, index: int, weight: int
-) -> Single | Product | CuspCombo | Monomial:
-    """The descriptor of element `index`.  Its weight must be the document
-    weight, which is checked before anything is computed from it: a factor
-    weight or an exponent far above the document weight would cost time in
-    proportion to its size."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("descriptor must be an object with a 'type' key")
-    kind = obj["type"]
-    if kind not in _DESCRIPTORS:
-        raise ValueError(f"unknown descriptor type {kind!r}")
-    cls, keys = _DESCRIPTORS[kind]
-    descriptor = cls(*(parse_rational(obj[k]) if k == "c" else _int_field(obj, k) for k in keys))
-    if descriptor.weight != weight:
-        raise ValueError(
-            f"element {index} ({descriptor.label()}) has weight {descriptor.weight}, "
-            f"but the document weight is {weight}"
-        )
-    if "c" in keys and descriptor.c != cusp_correction(descriptor.u, descriptor.v):
-        raise ValueError(f"{descriptor.label()}: c is not the cusp correction of its factors")
-    return descriptor
 
 
 def basis_to_document(basis: Basis) -> dict:
@@ -178,42 +144,56 @@ def basis_to_document(basis: Basis) -> dict:
     }
 
 
-def _realized(index: int, descriptor, coeffs: tuple) -> QSeries:
-    """The descriptor of element `index` realized at len(coeffs) terms; it
-    must reproduce `coeffs` exactly."""
-    series = descriptor.realize(len(coeffs))
-    if QSeries(series.weight, coeffs) != series:
-        j = next(j for j, c in enumerate(coeffs) if c != series.coefficient(j))
-        raise ValueError(
-            f"element {index} ({descriptor.label()}) differs from what its "
-            f"descriptor gives at coefficient index {j}"
-        )
-    return series
-
-
 def basis_from_document(obj) -> Basis:
-    """The basis a document describes.  Every descriptor is realized again
-    at the document precision and must reproduce its element's
-    coefficients exactly, so a tampered document is rejected."""
+    """The basis a document describes.
+
+    Weight, kind and precision fix a basis, so the document must be exactly
+    what basis_to_document writes for the basis rebuilt from those three:
+    the same descriptors, with the same JSON types, the same labels and the
+    same coefficient values.  The document's shape, its element count and
+    every element's coefficient count are checked first, so nothing is
+    built for a document whose size does not match its header.
+    """
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
-    try:
-        weight = _int_field(obj, "weight")
-        kind = BasisKind(obj["kind"])
-        precision = _int_field(obj, "precision")
-        elements = []
-        for index, entry in enumerate(_list_field(obj, "elements")):
-            descriptor = _descriptor_from_document(entry["descriptor"], index, weight)
-            coeffs = tuple(parse_rational(c) for c in _list_field(entry, "coefficients"))
-            if len(coeffs) != precision:
+    weight = _int_field(obj, "weight")
+    kind = BasisKind(obj.get("kind"))
+    precision = _int_field(obj, "precision")
+    entries = _list_field(obj, "elements")
+    expected = kind.dimension(weight)
+    if len(entries) != expected:
+        raise ValueError(
+            f"a {kind.value} basis of weight {weight} has {expected} elements, "
+            f"but the document has {len(entries)}"
+        )
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"element {index} must be a JSON object")
+        count = len(_list_field(entry, "coefficients"))
+        if count != precision:
+            raise ValueError(
+                f"document precision {precision} does not match the "
+                f"{count} coefficients of element {index}"
+            )
+    basis = basis_for(weight, kind, precision)
+    for index, (entry, el) in enumerate(zip(entries, basis.elements)):
+        label = el.descriptor.label()
+        # compared as JSON text, so 4.0 and true are not the integers 4 and 1
+        want = json.dumps(_descriptor_document(el.descriptor), sort_keys=True)
+        got = json.dumps(entry.get("descriptor"), sort_keys=True)
+        if got != want:
+            raise ValueError(f"element {index} ({label}) must have descriptor {want}, not {got}")
+        if entry.get("label") != label:
+            raise ValueError(
+                f"element {index} must have label {label!r}, not {entry.get('label')!r}"
+            )
+        for j, (text, value) in enumerate(zip(entry["coefficients"], el.series.coeffs)):
+            if parse_rational(text) != value:
                 raise ValueError(
-                    f"document precision {precision} does not match the "
-                    f"{len(coeffs)} coefficients of element {index}"
+                    f"element {index} ({label}) differs from what its "
+                    f"descriptor gives at coefficient index {j}"
                 )
-            elements.append(BasisElement(descriptor, _realized(index, descriptor, coeffs)))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed basis document: {exc}") from exc
-    return Basis(weight, kind, precision, tuple(elements))
+    return basis
 
 
 # ---------------------------------------------------------------------------

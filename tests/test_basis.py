@@ -453,6 +453,16 @@ class TestExpress:
         with pytest.raises(ValueError, match="precision"):
             express(eisenstein(12, 21), new_basis(12, 4))
 
+    def test_basis_shorter_than_target_rejected(self):
+        # a_30 lies past the basis precision, so it could not be verified
+        target = eisenstein(12, 40)
+        target = QSeries(12, target.coeffs[:30] + (target.coeffs[30] + 1,) + target.coeffs[31:])
+        with pytest.raises(ValueError) as info:
+            express(target, new_basis(12, 12))
+        assert str(info.value) == (
+            "basis precision 12 too small for expression: rebuild with precision >= 40"
+        )
+
     def test_residual_reports_first_bad_index(self):
         # perturbing a_2 leaves the solve window (a_0, a_1) intact, so the
         # mismatch must surface exactly at index 2

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import eisbasis.arith
 import eisbasis.basis
 import eisbasis.cli
 from eisbasis import basis_for, eisenstein
-from eisbasis.basis import BasisKind, CuspCombo, Monomial, Product, Single
+from eisbasis.basis import BasisKind
 from eisbasis.cli import (
     basis_from_document,
     basis_to_document,
@@ -27,6 +28,8 @@ from eisbasis.cli import (
 from helpers import delta_series, tampered_at
 
 
+# the package's eisenstein function hides the submodule of the same name
+EISENSTEIN_MODULE = importlib.import_module("eisbasis.eisenstein")
 FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "frozen.json"
 
 
@@ -73,14 +76,20 @@ class TestSeriesDocuments:
             series_from_document({"weight": "4", "precision": 1, "coefficients": ["1"]})
         with pytest.raises(ValueError):
             series_from_document([1, 2, 3])
+        for key in ("weight", "precision", "coefficients"):
+            doc = {"weight": 4, "precision": 1, "coefficients": ["1"]}
+            del doc[key]
+            with pytest.raises(ValueError, match=key):
+                series_from_document(doc)
 
 
 class TestBasisDocuments:
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_round_trip(self, kind):
-        basis = basis_for(36, kind, 8)
-        doc = json.loads(json.dumps(basis_to_document(basis)))
-        assert basis_from_document(doc) == basis
+        for weight in (4, 12, 36, 60):
+            basis = basis_for(weight, kind, 8)
+            doc = json.loads(json.dumps(basis_to_document(basis)))
+            assert basis_from_document(doc) == basis, weight
 
     def test_round_trip_empty_cusp_basis(self):
         basis = basis_for(4, BasisKind.NEW_S, 16)
@@ -116,9 +125,30 @@ class TestBasisDocuments:
         with pytest.raises(ValueError, match=field):
             basis_from_document(doc)
 
+    @pytest.mark.parametrize("key", ["weight", "kind", "precision", "elements"])
+    def test_rejects_missing_field(self, key):
+        doc = basis_to_document(basis_for(12, BasisKind.NEW_M, 16))
+        del doc[key]
+        with pytest.raises(ValueError):
+            basis_from_document(doc)
+
+    def test_rejects_element_that_is_not_an_object(self):
+        doc = basis_to_document(basis_for(12, BasisKind.NEW_M, 16))
+        doc["elements"][1] = ["G_4*G_8"]
+        with pytest.raises(ValueError, match="element 1 must be a JSON object"):
+            basis_from_document(doc)
+
+    def test_ignores_unknown_keys(self):
+        basis = basis_for(12, BasisKind.NEW_M, 16)
+        doc = basis_to_document(basis)
+        doc["note"] = "x"
+        doc["elements"][0]["note"] = "y"
+        assert basis_from_document(doc) == basis
+
 
 class TestBasisDocumentRealization:
-    """A document must be exactly what its descriptors realize."""
+    """A document must be exactly what basis_to_document writes for the
+    basis its weight, kind and precision fix."""
 
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_rejects_tampered_coefficient(self, kind):
@@ -129,7 +159,7 @@ class TestBasisDocumentRealization:
             basis_from_document(doc)
 
     def test_rejects_correction_other_than_cusp_correction(self):
-        # coefficients consistent with the wrong c: only the c check sees it
+        # coefficients consistent with the wrong c: only the descriptor sees it
         basis = basis_for(36, BasisKind.NEW_S, 16)
         doc = basis_to_document(basis)
         descriptor = basis.elements[1].descriptor
@@ -138,69 +168,138 @@ class TestBasisDocumentRealization:
         series = eisenstein(u, 16) * eisenstein(v, 16) + wrong * eisenstein(36, 16)
         doc["elements"][1]["descriptor"]["c"] = format_rational(wrong)
         doc["elements"][1]["coefficients"] = [format_rational(c) for c in series.coeffs]
-        with pytest.raises(ValueError, match="correction"):
+        with pytest.raises(ValueError, match=rf'^element 1 \(G_8\*G_28 .*"c": "{wrong}"'):
+            basis_from_document(doc)
+
+    def test_correction_must_be_the_canonical_string(self):
+        # U+2212 is a minus sign in coefficients, but not in a descriptor's c
+        basis = basis_for(36, BasisKind.NEW_S, 16)
+        doc = basis_to_document(basis)
+        for element in doc["elements"]:
+            element["coefficients"] = [c.replace("-", "\u2212") for c in element["coefficients"]]
+        assert basis_from_document(doc) == basis
+        doc["elements"][0]["descriptor"]["c"] = doc["elements"][0]["descriptor"]["c"].replace(
+            "-", "\u2212"
+        )
+        with pytest.raises(ValueError, match="element 0 .* must have descriptor"):
             basis_from_document(doc)
 
     def test_rejects_document_weight_other_than_descriptor_weight(self):
         doc = basis_to_document(basis_for(36, BasisKind.NEW_M, 16))
         doc["weight"] = 38
-        with pytest.raises(ValueError, match="element 0 .* weight 36"):
+        with pytest.raises(ValueError) as info:
             basis_from_document(doc)
+        assert str(info.value) == (
+            "a new-m basis of weight 38 has 3 elements, but the document has 4"
+        )
 
     def test_rejects_descriptor_weight_other_than_document_weight(self):
         doc = basis_to_document(basis_for(36, BasisKind.CLASSICAL, 16))
         doc["elements"][1]["descriptor"]["g6_exponent"] += 1
-        with pytest.raises(ValueError, match="element 1 .* weight 42"):
+        with pytest.raises(
+            ValueError, match=r'^element 1 \(G_4\^6\*G_6\^2\) must have .*"g6_exponent": 3'
+        ):
             basis_from_document(doc)
 
     @pytest.mark.parametrize(
-        "kind, position, key, value, message",
+        "kind, position, key, value",
         [
-            ("classical", 0, "g4_exponent", 10**9,
-             "element 0 (G_4^1000000000) has weight 4000000000, "
-             "but the document weight is 12"),
-            ("new-m", 1, "u", 10**7,
-             "element 0 (G_10000000*G_8) has weight 10000008, "
-             "but the document weight is 12"),
-            ("new-s", 0, "u", 10**7,
-             "element 0 (G_10000000*G_8 - 91/110560*G_10000008) has weight 10000008, "
-             "but the document weight is 12"),
+            ("classical", 0, "g4_exponent", 10**9),
+            ("new-m", 1, "u", 10**7),
+            ("new-s", 0, "u", 10**7),
         ],
         ids=["monomial", "product", "cusp-combo"],
     )
     def test_descriptor_weight_is_checked_before_anything_is_computed(
-        self, monkeypatch, kind, position, key, value, message
+        self, monkeypatch, kind, position, key, value
     ):
         # a huge exponent or factor weight would fill that many table powers,
-        # or compute divisor sums and Bernoulli numbers of that size; the
-        # element under test comes first, so no other element is realized
-        doc = basis_to_document(basis_for(12, kind, 16))
-        doc["elements"] = [doc["elements"][position]]
-        doc["elements"][0]["descriptor"][key] = value
+        # or compute divisor sums and Bernoulli numbers of that size: nothing
+        # may be computed above the document weight, whether or not the
+        # element count is right
+        weight = 12
 
-        def unreachable(*args):
-            raise AssertionError("computed from a descriptor of the wrong weight")
+        def bounded(name, function, *limited):
+            def wrapper(*args):
+                assert all(args[i] <= weight for i in limited), (name, args)
+                return function(*args)
 
-        for cls in (Single, Product, CuspCombo, Monomial):
-            monkeypatch.setattr(cls, "realize", unreachable)
-        monkeypatch.setattr(eisbasis.cli, "cusp_correction", unreachable)
-        monkeypatch.setattr(eisbasis.basis, "bernoulli", unreachable)
-        monkeypatch.setattr(eisbasis.arith, "bernoulli", unreachable)
+            return wrapper
+
+        doc = basis_to_document(basis_for(weight, kind, 16))
+        doc["elements"][position]["descriptor"][key] = value
+        count = len(doc["elements"])
+        extra = dict(doc, elements=doc["elements"] + [doc["elements"][position]])
+        monkeypatch.setattr(EISENSTEIN_MODULE, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
+        for module in (eisbasis.arith, eisbasis.basis):
+            monkeypatch.setattr(module, "bernoulli", bounded("bernoulli", module.bernoulli, 0))
+        monkeypatch.setattr(
+            eisbasis.basis,
+            "_eisenstein_power",
+            bounded("power", eisbasis.basis._eisenstein_power, 0, 1),
+        )
         with pytest.raises(ValueError) as info:
+            basis_from_document(extra)
+        assert str(info.value) == (
+            f"a {kind} basis of weight 12 has {count} elements, but the document has {count + 1}"
+        )
+        with pytest.raises(ValueError, match=rf"^element {position} .* not .*{value}"):
             basis_from_document(doc)
-        assert str(info.value) == message
 
     def test_rejects_factor_of_weight_zero(self):
-        # the correction check must not divide by the factor weight 0
+        # nothing may compute the cusp correction of a weight-0 factor,
+        # which would divide by it
         doc = basis_to_document(basis_for(36, BasisKind.NEW_S, 16))
         doc["elements"][0]["descriptor"].update(u=0, v=36)
-        with pytest.raises(ValueError, match="weight"):
+        with pytest.raises(ValueError, match=r'^element 0 .*"u": 0, "v": 36'):
             basis_from_document(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_rejects_values_that_only_compare_equal(self, value):
+        # G_4*G_6 has both exponents 1, and Python has True == 1.0 == 1
+        doc = basis_to_document(basis_for(10, BasisKind.CLASSICAL, 16))
+        doc["elements"][0]["descriptor"]["g4_exponent"] = value
+        with pytest.raises(ValueError, match=r"^element 0 \(G_4\*G_6\) must have descriptor"):
+            basis_from_document(json.loads(json.dumps(doc)))
 
     def test_rejects_negative_monomial_exponent(self):
         doc = basis_to_document(basis_for(12, BasisKind.CLASSICAL, 16))
         doc["elements"][0]["descriptor"].update(g4_exponent=-3, g6_exponent=4)
         with pytest.raises(ValueError, match="exponent"):
+            basis_from_document(doc)
+
+    def test_rejects_classical_monomials_under_another_kind(self):
+        # new-m and classical have the same element count at every weight
+        doc = basis_to_document(basis_for(36, BasisKind.CLASSICAL, 16))
+        doc["kind"] = "new-m"
+        with pytest.raises(ValueError, match=r"^element 0 \(G_36\) must have descriptor"):
+            basis_from_document(doc)
+
+    def test_rejects_reordered_elements(self):
+        doc = basis_to_document(basis_for(36, BasisKind.NEW_S, 16))
+        doc["elements"].reverse()
+        with pytest.raises(ValueError, match=r"^element 0 \(G_4\*G_32 .* must have descriptor"):
+            basis_from_document(doc)
+
+    def test_rejects_false_label(self):
+        doc = basis_to_document(basis_for(36, BasisKind.NEW_M, 16))
+        doc["elements"][1]["label"] = "G_8*G_28"
+        with pytest.raises(ValueError, match="element 1 must have label 'G_4\\*G_32'"):
+            basis_from_document(doc)
+
+    def test_rejects_missing_element(self):
+        doc = basis_to_document(basis_for(36, BasisKind.CLASSICAL, 16))
+        del doc["elements"][-1]
+        with pytest.raises(ValueError, match="has 4 elements, but the document has 3"):
+            basis_from_document(doc)
+
+    def test_rejects_empty_document_of_a_huge_weight_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("built a basis for a document without elements")
+
+        monkeypatch.setattr(eisbasis.cli, "basis_for", unreachable)
+        doc = {"weight": 120000, "kind": "new-m", "precision": 10002, "elements": []}
+        with pytest.raises(ValueError, match="has 10001 elements, but the document has 0"):
             basis_from_document(doc)
 
 
