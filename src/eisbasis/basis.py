@@ -23,6 +23,19 @@ fraction-free elimination on the series' integer numerators.  A form in
 the weight-2k space vanishing in its first dim-many coefficients is zero,
 so that pairing is non-degenerate and the determinant test is sound.
 
+The new-s determinant is taken through new-m's matrix.  When every new-s
+element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
+G_2k and S_i - c_i * G_2k becomes, after adding c_i times the first row
+to row i, block-triangular with first column (a_0(G_2k), 0, ..., 0), so
+its determinant is a_0(G_2k) times the new-s determinant over a_1..a_n.
+That holds for any c_i, so it stays exact for a tampered basis; with c_i
+the cusp correction the rows are the new-m products, whose entries are a
+few times smaller.  The last four determinants are kept, keyed by their
+exact integer rows, so certifying new-s after new-m and classical, as
+verify does, repeats no elimination.  Unlike the series caches the memo
+is bounded, and a hit needs an identical integer matrix, so it never
+changes a determinant.
+
 Expressing a form in coordinates solves the leading square window modulo
 61-bit primes, with Chinese remaindering and rational reconstruction.  That
 method may be wrong, so it is never trusted: the solve returns only an
@@ -35,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -246,8 +260,7 @@ def cusp_basis(weight: int, precision: int | None = None) -> Basis:
     """
     precision = _checked_precision(weight, precision)
     elements = []
-    for product in new_basis_descriptors(weight)[1:]:
-        combo = CuspCombo(product.u, product.v, cusp_correction(product.u, product.v))
+    for combo in basis_descriptors(weight, BasisKind.NEW_S):
         series = combo.realize(precision)
         if series.coefficient(0) != 0:
             raise ArithmeticError(
@@ -277,9 +290,24 @@ def classical_exponents(weight: int) -> list[tuple[int, int]]:
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
     """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
     precision = _checked_precision(weight, precision)
-    monomials = [Monomial(alpha, beta) for alpha, beta in classical_exponents(weight)]
+    monomials = basis_descriptors(weight, BasisKind.CLASSICAL)
     elements = tuple(BasisElement(d, d.realize(precision)) for d in monomials)
     return Basis(weight, BasisKind.CLASSICAL, precision, elements)
+
+
+def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
+    """The descriptors of the `kind` basis at `weight`, in basis order, with
+    no series realized; only the cusp corrections cost anything (Bernoulli
+    numbers)."""
+    kind = BasisKind(kind)
+    if kind is BasisKind.NEW_M:
+        return new_basis_descriptors(weight)
+    if kind is BasisKind.NEW_S:
+        return [
+            CuspCombo(p.u, p.v, cusp_correction(p.u, p.v))
+            for p in new_basis_descriptors(weight)[1:]
+        ]
+    return [Monomial(alpha, beta) for alpha, beta in classical_exponents(weight)]
 
 
 def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) -> Basis:
@@ -298,14 +326,15 @@ class RatMatrix:
     It is built from cleared rows: row i is a pair (numerators, denominator)
     of integers, denominator > 0, holding the entries numerators[j] /
     denominator.  There must be at least one row, and every row must have
-    the same nonzero number of entries.  Each row is kept in lowest terms.
+    the same nonzero number of entries.  Each row is kept in lowest terms,
+    which makes the cleared rows of a matrix of rationals unique.
     """
 
     def __init__(self, rows):
         if not rows or not rows[0][0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(rows[0][0])
-        self._rows = []
+        cleared = []
         for numerators, den in rows:
             if len(numerators) != width:
                 raise ValueError("matrix rows must all have the same length")
@@ -313,7 +342,8 @@ class RatMatrix:
                 raise ValueError(f"row denominators must be positive, got {den}")
             # gcd takes integers only: a float entry raises TypeError here
             g = gcd(den, *numerators)
-            self._rows.append(([v // g for v in numerators], den // g))
+            cleared.append((tuple([v // g for v in numerators]), den // g))
+        self._rows = tuple(cleared)
 
     @property
     def rows(self) -> int:
@@ -327,40 +357,17 @@ class RatMatrix:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
 
     def determinant(self) -> Fraction:
-        """Exact determinant.
+        """Exact determinant, by Bareiss elimination on the cleared rows.
 
-        Bareiss fraction-free elimination runs over the cleared integer
-        rows (every division below is exact); the row denominators divide
-        back out at the end.  After step k every entry of a row below the
-        pivot is a minor bordering the leading (k+1)-square block, so a row
-        that becomes all zero is a combination of the pivot rows and the
-        determinant is 0 without further steps.
+        The results for the last four matrices are kept for the process,
+        keyed by those exact integer rows, so a matrix seen again
+        (verify_report's new-s matrix is new-m's) costs a lookup.  A hit
+        needs an identical matrix, so it cannot change the answer.
         """
         n = self.rows
         if n != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {n}x{self.cols}")
-        m = [list(numerators) for numerators, _ in self._rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            pivot, top = m[k][k], m[k][k + 1 :]
-            # column k below the pivot is never read again
-            for row in m[k + 1 :]:
-                factor = row[k]
-                tail = [(pivot * v - factor * t) // prev for v, t in zip(row[k + 1 :], top)]
-                if not any(tail):
-                    return Fraction(0)
-                row[k + 1 :] = tail
-            prev = pivot
-        return Fraction(sign * m[n - 1][n - 1], prod(den for _, den in self._rows))
+        return _bareiss(self._rows)
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly, by a modular method certified exactly.
@@ -421,6 +428,44 @@ class RatMatrix:
                 raise ArithmeticError(
                     "modular solve found no exact solution within the Hadamard bound"
                 )
+
+
+# verify certifies new-m, classical, then new-s, whose matrix is new-m's;
+# four matrices cover that order with room to spare
+@lru_cache(maxsize=4)
+def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
+    """The determinant of the square matrix with cleared rows `rows`.
+
+    Bareiss fraction-free elimination runs over the integer numerators
+    (every division below is exact); the row denominators divide back out
+    at the end.  After step k every entry of a row below the pivot is a
+    minor bordering the leading (k+1)-square block, so a row that becomes
+    all zero is a combination of the pivot rows and the determinant is 0
+    without further steps.
+    """
+    n = len(rows)
+    m = [list(numerators) for numerators, _ in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot, top = m[k][k], m[k][k + 1 :]
+        # column k below the pivot is never read again
+        for row in m[k + 1 :]:
+            factor = row[k]
+            tail = [(pivot * v - factor * t) // prev for v, t in zip(row[k + 1 :], top)]
+            if not any(tail):
+                return Fraction(0)
+            row[k + 1 :] = tail
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], prod(den for _, den in rows))
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -588,19 +633,31 @@ def verify_report(basis: Basis) -> VerificationReport:
     The square matrix with one row per element, holding its coefficients
     over ``basis.window``, must be non-singular.  Cusp kind: every constant
     term must also vanish exactly.
+
+    When they all vanish and every element carries a rational correction
+    c_i, as a CuspCombo does, the new-s determinant is that of the rows
+    G_2k and S_i - c_i * G_2k over a_0..a_n divided by a_0(G_2k) (see the
+    module docstring): the same value as over a_1..a_n directly, from
+    new-m's matrix, which the determinant memo usually holds already.
     """
     count = len(basis.elements)
+    vanish = None
+    if basis.kind is BasisKind.NEW_S:
+        vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
     det = None
     if count:
         start, stop = basis.window.start, basis.window.stop
         shallow = min(el.series.precision for el in basis.elements)
         if shallow < stop:
             raise ValueError(f"certifying needs {stop} coefficients; an element has {shallow}")
-        rows = [(el.series.numerators[start:stop], el.series.denominator) for el in basis.elements]
-        det = RatMatrix(rows).determinant()
-    vanish = None
-    if basis.kind is BasisKind.NEW_S:
-        vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
+        series, a0 = [el.series for el in basis.elements], 1
+        corrections = [getattr(el.descriptor, "c", None) for el in basis.elements]
+        if vanish and all(isinstance(c, Fraction) for c in corrections):
+            g = eisenstein(basis.weight, shallow)
+            series = [g] + [s - c * g for s, c in zip(series, corrections)]
+            start, a0 = 0, g.coefficient(0)
+        rows = [(s.numerators[start:stop], s.denominator) for s in series]
+        det = RatMatrix(rows).determinant() / a0
     expected = basis.kind.dimension(basis.weight)
     return VerificationReport(basis.weight, basis.kind, count, expected, det, vanish)
 

@@ -27,6 +27,7 @@ from .basis import (
     Product,
     Single,
     SpanError,
+    basis_descriptors,
     basis_for,
     default_precision,
     express,
@@ -152,7 +153,9 @@ def basis_from_document(obj) -> Basis:
     the same descriptors, with the same JSON types, the same labels and the
     same coefficient values.  The document's shape, its element count and
     every element's coefficient count are checked first, so nothing is
-    built for a document whose size does not match its header.
+    built for a document whose size does not match its header; then the
+    descriptors and labels, so no series is realized for a document whose
+    elements are not the basis's.
     """
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
@@ -175,11 +178,10 @@ def basis_from_document(obj) -> Basis:
                 f"document precision {precision} does not match the "
                 f"{count} coefficients of element {index}"
             )
-    basis = basis_for(weight, kind, precision)
-    for index, (entry, el) in enumerate(zip(entries, basis.elements)):
-        label = el.descriptor.label()
+    for index, (entry, descriptor) in enumerate(zip(entries, basis_descriptors(weight, kind))):
+        label = descriptor.label()
         # compared as JSON text, so 4.0 and true are not the integers 4 and 1
-        want = json.dumps(_descriptor_document(el.descriptor), sort_keys=True)
+        want = json.dumps(_descriptor_document(descriptor), sort_keys=True)
         got = json.dumps(entry.get("descriptor"), sort_keys=True)
         if got != want:
             raise ValueError(f"element {index} ({label}) must have descriptor {want}, not {got}")
@@ -187,6 +189,9 @@ def basis_from_document(obj) -> Basis:
             raise ValueError(
                 f"element {index} must have label {label!r}, not {entry.get('label')!r}"
             )
+    basis = basis_for(weight, kind, precision)
+    for index, (entry, el) in enumerate(zip(entries, basis.elements)):
+        label = el.descriptor.label()
         for j, (text, value) in enumerate(zip(entry["coefficients"], el.series.coeffs)):
             if parse_rational(text) != value:
                 raise ValueError(

@@ -394,6 +394,94 @@ class TestVerification:
         assert not report.confirmed
 
 
+def window_determinant(basis: Basis) -> Fraction:
+    """The new-s determinant straight from its window a_1..a_n."""
+    n = len(basis.elements)
+    rows = [(el.series.numerators[1 : n + 1], el.series.denominator) for el in basis.elements]
+    return RatMatrix(rows).determinant()
+
+
+def with_element(basis: Basis, index: int, descriptor, series: QSeries) -> Basis:
+    elements = list(basis.elements)
+    elements[index] = BasisElement(descriptor, series)
+    return Basis(basis.weight, basis.kind, basis.precision, tuple(elements))
+
+
+class TestNewSThroughNewM:
+    """verify_report takes the new-s determinant as det(new-m matrix) / a_0(G_2k)."""
+
+    def test_identity_matches_the_direct_window_through_120(self):
+        for weight in range(4, 122, 2):
+            a0 = eisenstein(weight, 1).coefficient(0)
+            new_m = verify_report(new_basis(weight))
+            basis = cusp_basis(weight)
+            new_s = verify_report(basis)
+            if not basis.elements:
+                assert new_s.determinant is None
+                assert new_m.determinant == a0, weight
+                continue
+            assert new_s.determinant == window_determinant(basis), weight
+            assert new_s.determinant * a0 == new_m.determinant, weight
+
+    def test_after_new_m_and_classical_the_new_s_determinant_is_a_memo_hit(self):
+        memo = basis_module._bareiss
+        verify_report(new_basis(96))
+        verify_report(classical_basis(96))
+        hits = memo.cache_info().hits
+        report = verify_report(cusp_basis(96))
+        assert memo.cache_info().hits == hits + 1
+        assert report.determinant == window_determinant(cusp_basis(96))
+
+    def test_nonvanishing_constant_term_keeps_the_direct_value(self):
+        basis = cusp_basis(36)
+        el = basis.elements[0]
+        raised = QSeries(36, (Fraction(1),) + el.series.coeffs[1:])
+        broken = with_element(basis, 0, el.descriptor, raised)
+        report = verify_report(broken)
+        assert report.constant_terms_vanish is False
+        assert report.determinant == window_determinant(broken) != 0
+        assert not report.confirmed
+
+    @pytest.mark.parametrize("weight", [36, 120])
+    def test_last_element_the_sum_of_the_first_two_is_singular(self, weight):
+        basis = cusp_basis(weight)
+        first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
+        singular = with_element(basis, -1, last.descriptor, first.series + second.series)
+        report = verify_report(singular)
+        assert report.constant_terms_vanish is True
+        assert report.determinant == 0
+        assert not report.confirmed
+
+    def test_descriptor_other_than_a_cusp_combo_gives_the_direct_value(self):
+        basis = cusp_basis(60)
+        el = basis.elements[1]
+        plain = with_element(basis, 1, Product(el.descriptor.u, el.descriptor.v), el.series)
+        report = verify_report(plain)
+        assert report.determinant == window_determinant(basis) != 0
+        assert report.confirmed
+
+    def test_singular_control_after_new_m_at_240_reads_zero(self):
+        basis = new_basis(240)
+        assert verify_report(basis).confirmed
+        first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
+        control = with_element(basis, -1, last.descriptor, first.series + second.series)
+        report = verify_report(control)
+        assert report.determinant == 0
+        assert not report.confirmed
+
+    def test_matrices_differing_in_one_entry_keep_their_own_determinants(self):
+        basis = new_basis(60)
+        rows = [(list(el.series.numerators[:6]), el.series.denominator) for el in basis.elements]
+        changed = [(list(nums), den) for nums, den in rows]
+        changed[-1][0][-1] += 1
+        original = RatMatrix(rows).determinant()
+        other = RatMatrix(changed).determinant()
+        assert original == verify_report(basis).determinant
+        assert other != original
+        assert other == det_leibniz(RatMatrix(changed).row_list())
+        assert RatMatrix(rows).determinant() == original
+
+
 class TestExpress:
     def test_basis_element_itself(self):
         basis = new_basis(12, 21)

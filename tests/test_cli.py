@@ -293,6 +293,18 @@ class TestBasisDocumentRealization:
         with pytest.raises(ValueError, match="has 4 elements, but the document has 3"):
             basis_from_document(doc)
 
+    def test_rejects_wrong_descriptors_before_realizing_any_series(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("realized a series for a document with wrong descriptors")
+
+        for name in ("eisenstein", "eisenstein_product", "_eisenstein_power"):
+            monkeypatch.setattr(eisbasis.basis, name, unreachable)
+        precision = eisbasis.basis.default_precision(600)
+        element = {"descriptor": {}, "label": "", "coefficients": ["0"] * precision}
+        doc = {"weight": 600, "kind": "new-m", "precision": precision, "elements": [element] * 51}
+        with pytest.raises(ValueError, match=r"^element 0 \(G_600\) must have descriptor"):
+            basis_from_document(doc)
+
     def test_rejects_empty_document_of_a_huge_weight_before_building(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("built a basis for a document without elements")
