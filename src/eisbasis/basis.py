@@ -36,9 +36,11 @@ verify does, repeats no elimination.  Unlike the series caches the memo
 is bounded, and a hit needs an identical integer matrix, so it never
 changes a determinant.
 
-Expressing a form in coordinates solves the leading square window modulo
-61-bit primes, with Chinese remaindering and rational reconstruction.  That
-method may be wrong, so it is never trusted: the solve returns only an
+Expressing a form in coordinates solves the leading square window by
+p-adic (Dixon) lifting.  The basis keeps its window with its inverse mod
+one 61-bit prime from the first express() on, so each form costs O(n^2)
+per base-p digit of its coordinates, read back by rational reconstruction.
+That method may be wrong, so it is never trusted: the solve returns only an
 answer that satisfies its system exactly, and express() then checks the
 reconstruction exactly against every supplied coefficient.
 """
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -197,6 +199,18 @@ class Basis:
         start = 1 if self.kind is BasisKind.NEW_S else 0
         return range(start, start + len(self.elements))
 
+    @cached_property
+    def _express_system(self) -> tuple[int, list[list[int]], RatMatrix]:
+        """For express(), kept from its first call: the lcm L of the element
+        denominators, every coefficient column over L, and the RatMatrix of
+        the window's columns, which keeps its factorisation."""
+        series = [el.series for el in self.elements]
+        common = lcm(*[s.denominator for s in series])
+        scales = [common // s.denominator for s in series]
+        depth = min(s.precision for s in series)
+        columns = [[s.numerators[j] * c for s, c in zip(series, scales)] for j in range(depth)]
+        return common, columns, RatMatrix([(columns[j], common) for j in self.window])
+
 
 def default_precision(weight: int) -> int:
     """The precision a basis is built to when none is given: dim_cusp + 10
@@ -344,6 +358,7 @@ class RatMatrix:
             g = gcd(den, *numerators)
             cleared.append((tuple([v // g for v in numerators]), den // g))
         self._rows = tuple(cleared)
+        self._kept = None
 
     @property
     def rows(self) -> int:
@@ -370,21 +385,17 @@ class RatMatrix:
         return _bareiss(self._rows)
 
     def solve(self, rhs) -> list[Fraction]:
-        """Solve self * x = rhs exactly, by a modular method certified exactly.
+        """Solve self * x = rhs exactly, by p-adic lifting certified exactly.
 
-        Each row of [self | rhs] is cleared to integers, so no prime can
-        divide a denominator.  The integer system is solved modulo a fixed
-        sequence of primes just below 2^61 by Gaussian elimination, the
-        residues are combined by the Chinese remainder theorem, and x is
-        read back by rational reconstruction.  A candidate is returned only
-        after it satisfies every cleared row exactly, so a wrong
-        reconstruction can cost time but never give a wrong answer.  Primes
-        at which the matrix is singular are skipped; the first such prime
-        makes the exact determinant decide, once, whether the matrix is
-        singular over Q.  Once the modulus exceeds twice the square of the
-        Hadamard bound, reconstruction must succeed for a nonsingular matrix
-        (Cramer's rule), so a candidate still failing there raises
-        ArithmeticError instead of trying more primes.
+        Row i of [self | rhs] is scaled by s_i to integers: diag(s) N x = t.
+        With N inverted once mod a 61-bit prime p (see _factor), each base-p
+        digit y of x costs O(n^2): y solves the system mod p, and
+        (t - diag(s) N y) / p is the next right-hand side (Dixon lifting).
+        x is read back by rational reconstruction after geometrically more
+        digits, and returned only if it satisfies every scaled row exactly.
+        Past p^k > 2 * (prod_i (s_i |N_i| + |t_i|))^2, twice a squared
+        Hadamard bound on Cramer's rule, reconstruction cannot fail for a
+        nonsingular matrix, so a candidate failing there is ArithmeticError.
         """
         n = self.rows
         if n != self.cols:
@@ -393,41 +404,70 @@ class RatMatrix:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
         if any(isinstance(b, float) for b in rhs):
             raise TypeError("float right-hand sides are not allowed; use Fraction or int")
-        system = []
-        for (numerators, den), b in zip(self._rows, rhs):
+        scales, targets = [], []
+        for (_, den), b in zip(self._rows, rhs):
             b = Fraction(b)
             common = lcm(den, b.denominator)
-            row = [v * (common // den) for v in numerators]
-            system.append(row + [b.numerator * (common // b.denominator)])
-        hadamard = prod(isqrt(sum(v * v for v in row)) + 1 for row in system)
-        limit = 2 * hadamard * hadamard
-        residues, modulus, rounds, next_try = [0] * n, 1, 0, 1
-        determinant_known = False
-        for p in _primes():
-            image = _solve_mod(system, p)
-            if image is None:
-                if not determinant_known:
-                    if self.determinant() == 0:
-                        raise ValueError("matrix is singular")
-                    determinant_known = True
-                continue
-            inverse = pow(modulus, -1, p)
-            residues = [r + modulus * ((v - r) * inverse % p) for r, v in zip(residues, image)]
+            scales.append(common // den)
+            targets.append(b.numerator * (common // b.denominator))
+        p, inverse = self._factor(scales)
+        bound = prod(s * a + abs(t) for s, a, t in zip(scales, self._norms, targets))
+        limit = 2 * bound * bound
+        unscale = [pow(s, -1, p) for s in scales]
+        residual, residues, modulus, digits, next_try = targets, [0] * n, 1, 0, 1
+        while True:
+            v = [r % p * u for r, u in zip(residual, unscale)]
+            y = [sum(map(mul, row, v)) % p for row in inverse]
+            residues = [r + modulus * d for r, d in zip(residues, y)]
             modulus *= p
-            rounds += 1
+            digits += 1
             past_bound = modulus > limit
             # a failed reconstruction costs a Euclidean pass over the whole
-            # modulus, so the primes between tries grow with their count:
-            # tries come after 1, 2, 3, 4, 6, 8, 11, 14, 18, 23, ... primes
-            if rounds == next_try or past_bound:
-                next_try = rounds + 1 + rounds // 4
+            # modulus, so the digits between tries grow with their count:
+            # tries come after 1, 2, 3, 4, 6, 8, 11, 14, 18, 23, ... digits
+            if digits == next_try or past_bound:
+                next_try = digits + 1 + digits // 4
                 x = _reconstruct_vector(residues, modulus)
-                if x is not None and _satisfies(system, x):
-                    return x
+                if x is not None:
+                    # with x = N / D over one denominator, exactly
+                    # s_i * sum_j a_ij N_j == t_i D for every row i
+                    nums, den = _numerators(x)
+                    rows = zip(self._rows, scales, targets)
+                    if all(s * sum(map(mul, a, nums)) == t * den for (a, _), s, t in rows):
+                        return x
             if past_bound:
                 raise ArithmeticError(
                     "modular solve found no exact solution within the Hadamard bound"
                 )
+            rows = zip(residual, scales, self._rows)
+            residual = [(r - s * sum(map(mul, a, y))) // p for r, s, (a, _) in rows]
+
+    @cached_property
+    def _norms(self) -> list[int]:
+        """An integer bound above the Euclidean norm of each numerator row."""
+        return [isqrt(sum(v * v for v in numerators)) + 1 for numerators, _ in self._rows]
+
+    def _factor(self, scales: list[int]) -> tuple[int, list[list[int]]]:
+        """(p, N^-1 mod p) at the first working prime p that divides none of
+        the row scales and at which the numerator matrix N is invertible.
+        The first one found is kept as long as the matrix and reused while
+        its prime divides no scale.  At the first prime where N is singular
+        the exact determinant decides, once, whether it is singular over Q.
+        """
+        if self._kept and all(s % self._kept[0] for s in scales):
+            return self._kept
+        determinant_known = False
+        for p in _primes():
+            if any(s % p == 0 for s in scales):
+                continue
+            inverse = _inverse_mod([numerators for numerators, _ in self._rows], p)
+            if inverse is not None:
+                self._kept = self._kept or (p, inverse)
+                return p, inverse
+            if not determinant_known:
+                if self.determinant() == 0:
+                    raise ValueError("matrix is singular")
+                determinant_known = True
 
 
 # verify certifies new-m, classical, then new-s, whose matrix is new-m's;
@@ -493,59 +533,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# 2^61 - p for the first 128 primes p below 2^61, in decreasing order
-_PRIME_OFFSETS = (
-    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829,
-    843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489,
-    1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855, 1863, 1869,
-    1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371, 2373, 2383, 2385,
-    2401, 2539, 2551, 2595, 2605, 2665, 2695, 2911, 2919, 3015, 3045, 3069, 3079, 3081,
-    3105, 3139, 3151, 3153, 3183, 3295, 3325, 3331, 3361, 3363, 3373, 3409, 3441, 3465,
-    3625, 3669, 3793, 3799, 3835, 3865, 3895, 3913, 3931, 3933, 4003, 4015, 4075, 4119,
-    4141, 4185, 4219, 4243, 4351, 4359, 4393, 4431, 4443, 4459, 4465, 4473, 4525, 4575,
-    4599, 4659, 4723, 4729, 4749, 4789, 4795, 4819, 4863, 4885, 4969, 5043, 5079,
-)
-
-
 def _primes():
-    """The primes below 2^61 in decreasing order, from 2^61 - 1 down: the
-    table first, then a search down from its last entry, so nothing is
-    searched at import and most solves search nothing at all."""
-    for offset in _PRIME_OFFSETS:
-        yield (1 << 61) - offset
-    candidate = (1 << 61) - _PRIME_OFFSETS[-1]
+    """The primes below 2^61 in decreasing order, from 2^61 - 1 down."""
+    candidate = (1 << 61) + 1
     while True:
         candidate -= 2
         if _is_prime(candidate):
             yield candidate
 
 
-def _solve_mod(system: list[list[int]], p: int) -> list[int] | None:
-    """x with system[:, :n] * x = system[:, n] mod p by Gaussian elimination
-    and back substitution, or None when the matrix is singular mod p.
-
-    Rows below the pivot are left unreduced: each update adds less than p^2
-    to an entry, so entries stay a few words long, and an entry is reduced
-    only when it is read as a factor or its row becomes the pivot row.
-    """
-    a = [[v % p for v in row] for row in system]
-    n = len(a)
+def _inverse_mod(rows: list[tuple[int, ...]], p: int) -> list[list[int]] | None:
+    """The inverse modulo p of the square integer matrix `rows`, by
+    Gauss-Jordan elimination on [rows | I], or None when it is singular
+    mod p."""
+    n = len(rows)
+    a = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] % p), None)
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
             return None
         a[k], a[pivot] = a[pivot], a[k]
         inverse = pow(a[k][k], -1, p)
-        # row k is scaled to a unit pivot; entries left of k+1 are never read again
-        top = a[k][k + 1 :] = [v * inverse % p for v in a[k][k + 1 :]]
-        for row in a[k + 1 :]:
-            factor = row[k] % p
-            if factor:
-                row[k + 1 :] = [v - factor * t for v, t in zip(row[k + 1 :], top)]
-    x = [0] * n
-    for k in reversed(range(n)):
-        x[k] = (a[k][n] - sum(map(mul, a[k][k + 1 : n], x[k + 1 :]))) % p
-    return x
+        top = a[k] = [v * inverse % p for v in a[k]]
+        for i, row in enumerate(a):
+            factor = row[k]
+            if factor and i != k:
+                a[i] = [(v - factor * t) % p for v, t in zip(row, top)]
+    return [row[n:] for row in a]
 
 
 def _reconstruct(u: int, m: int) -> Fraction | None:
@@ -556,8 +570,8 @@ def _reconstruct(u: int, m: int) -> Fraction | None:
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
         t0, t1 = t1, t0 - q * t1
     if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
         return None
@@ -589,13 +603,6 @@ def _reconstruct_vector(residues: list[int], m: int) -> list[Fraction] | None:
         x.append(value)
         den = lcm(den, value.denominator)
     return x
-
-
-def _satisfies(system: list[list[int]], x: list[Fraction]) -> bool:
-    """Whether x solves the integer system exactly: with x = N / D over one
-    denominator, every row must give sum_j a_ij N_j == b_i D."""
-    nums, den = _numerators(x)
-    return all(sum(map(mul, row, nums)) == row[-1] * den for row in system)
 
 
 @dataclass(frozen=True)
@@ -702,6 +709,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
         )
     count = len(basis.elements)
     limit = target.precision
+    common, columns, coords = 1, None, []
     if count:
         element_precision = min(el.series.precision for el in basis.elements)
         if element_precision < limit:
@@ -709,21 +717,13 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"basis precision {element_precision} too small for expression: "
                 f"rebuild with precision >= {limit}"
             )
-    # column j of the coefficient table, every element over the lcm L of
-    # the elements' denominators
-    series = [el.series for el in basis.elements]
-    common = lcm(*[s.denominator for s in series])
-    scales = [common // s.denominator for s in series]
-    columns = [[s.numerators[j] * c for s, c in zip(series, scales)] for j in range(limit)]
-    coords = []
-    if count:
-        matrix = RatMatrix([(columns[j], common) for j in basis.window])
+        common, columns, matrix = basis._express_system
         coords = matrix.solve([target.coefficient(j) for j in basis.window])
     # integer comparison: coords = N / D and t_j = T_j / E, so the
     # reconstruction sum(N * columns[j]) / (D * L) must equal T_j / E
     nums, den = _numerators(coords)
     for j in range(limit):
-        total = sum(map(mul, nums, columns[j]))
+        total = sum(map(mul, nums, columns[j])) if count else 0
         if total * target.denominator != target.numerators[j] * den * common:
             raise SpanError(j, target.coefficient(j), Fraction(total, den * common))
     return coords

@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 from .arith import dimension_data, dimension_oracle
 from .basis import (
@@ -31,6 +32,7 @@ from .basis import (
     basis_for,
     default_precision,
     express,
+    new_basis_descriptors,
     verify_report,
 )
 from .qseries import QSeries
@@ -46,7 +48,7 @@ __all__ = [
     "run",
 ]
 
-_RATIONAL_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
 
 def format_rational(value: Fraction) -> str:
@@ -57,17 +59,27 @@ def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string; reject anything non-canonical.
 
     U+2212 is accepted as a minus-sign alias on input (typeset sources
-    and some editors produce it); output always uses ASCII "-".
+    and some editors produce it); output always uses ASCII "-".  Canonical
+    means what format_rational writes: no "-0", no denominator 1, lowest
+    terms, and nothing after the digits, not even the trailing newline
+    that "$" lets through.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     normalized = text.replace("\u2212", "-")
-    if not _RATIONAL_RE.match(normalized):
+    match = _RATIONAL_RE.match(normalized)
+    if not match:
         raise ValueError(f"malformed rational string {text!r}")
-    value = Fraction(normalized)
-    if str(value) != normalized:
+    sign, num, den = match.groups()
+    numerator, denominator = int(num), int(den or 1)
+    if (
+        match.end() < len(normalized)
+        or (sign and not numerator)
+        or den == "1"
+        or gcd(numerator, denominator) != 1
+    ):
         raise ValueError(f"non-canonical rational string {text!r}")
-    return value
+    return Fraction(-numerator if sign else numerator, denominator)
 
 
 def series_to_document(series: QSeries) -> dict:
@@ -145,6 +157,10 @@ def basis_to_document(basis: Basis) -> dict:
     }
 
 
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 def basis_from_document(obj) -> Basis:
     """The basis a document describes.
 
@@ -155,7 +171,9 @@ def basis_from_document(obj) -> Basis:
     every element's coefficient count are checked first, so nothing is
     built for a document whose size does not match its header; then the
     descriptors and labels, so no series is realized for a document whose
-    elements are not the basis's.
+    elements are not the basis's.  New-s descriptors have their type, u and
+    v compared before any correction c, and so any Bernoulli number, is
+    computed.
     """
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
@@ -178,11 +196,22 @@ def basis_from_document(obj) -> Basis:
                 f"document precision {precision} does not match the "
                 f"{count} coefficients of element {index}"
             )
+    if kind is BasisKind.NEW_S:
+        # a correction c costs the Bernoulli numbers up to the weight, so
+        # every element's type, u and v are compared before any c is computed
+        for index, (entry, product) in enumerate(zip(entries, new_basis_descriptors(weight)[1:])):
+            want = {"type": _DESCRIPTORS[CuspCombo][0], "u": product.u, "v": product.v}
+            got = entry.get("descriptor")
+            if not isinstance(got, dict) or _json({k: got.get(k) for k in want}) != _json(want):
+                raise ValueError(
+                    f"element {index} (G_{product.u}*G_{product.v} + c*G_{weight}) must have "
+                    f"descriptor type, u and v {_json(want)}, not {_json(got)}"
+                )
     for index, (entry, descriptor) in enumerate(zip(entries, basis_descriptors(weight, kind))):
         label = descriptor.label()
         # compared as JSON text, so 4.0 and true are not the integers 4 and 1
-        want = json.dumps(_descriptor_document(descriptor), sort_keys=True)
-        got = json.dumps(entry.get("descriptor"), sort_keys=True)
+        want = _json(_descriptor_document(descriptor))
+        got = _json(entry.get("descriptor"))
         if got != want:
             raise ValueError(f"element {index} ({label}) must have descriptor {want}, not {got}")
         if entry.get("label") != label:

@@ -37,6 +37,20 @@ from helpers import delta_series, det_leibniz, fermat_prime, gauss_solve, rat_ma
 FIRST_PRIME = next(basis_module._primes())
 
 
+def counted_calls(monkeypatch, name):
+    """Replace basis_module.<name> by a wrapper that records the arguments
+    of every call; returns the list it records into."""
+    calls = []
+    function = getattr(basis_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(basis_module, name, counted)
+    return calls
+
+
 class TestDescriptors:
     def test_weight_36_lists_the_expected_products(self):
         labels = [d.label() for d in new_basis_descriptors(36)]
@@ -265,9 +279,8 @@ class TestRatMatrix:
             rat_matrix([[2, 0], [0, 1]]).solve([Fraction(1, 2), 1.0])
 
     def test_prime_sequence_is_every_prime_below_2_to_61_in_order(self):
-        # the table and the search past it list the primes from 2^61 - 1 down
-        # with none skipped
-        primes = list(islice(basis_module._primes(), len(basis_module._PRIME_OFFSETS) + 8))
+        # the search lists the primes from 2^61 - 1 down with none skipped
+        primes = list(islice(basis_module._primes(), 136))
         assert primes[0] == FIRST_PRIME == 2**61 - 1
         assert all(fermat_prime(p) for p in primes)
         for high, low in zip(primes, primes[1:]):
@@ -301,24 +314,40 @@ class TestRatMatrix:
             rat_matrix([[p, 2 * p], [1, 2]]).solve([1, 1])
         assert calls == [2]
 
-    def test_solve_needs_several_primes_for_500_bit_numerators(self, monkeypatch):
+    def test_solve_needs_several_digits_for_500_bit_numerators(self, monkeypatch):
         rng = random.Random(500)
         rows = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
         assert rat_matrix(rows).determinant() != 0
         x = [Fraction(rng.getrandbits(500) | 1 << 499, rng.randint(1, 10**6)) for _ in range(4)]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        primes = []
-        solve_mod = basis_module._solve_mod
+        factorisations, moduli = counted_calls(monkeypatch, "_inverse_mod"), []
+        reconstruct = basis_module._reconstruct_vector
 
-        def counted(system, p):
-            primes.append(p)
-            return solve_mod(system, p)
+        def recorded(residues, m):
+            moduli.append(m)
+            return reconstruct(residues, m)
 
-        monkeypatch.setattr(basis_module, "_solve_mod", counted)
+        monkeypatch.setattr(basis_module, "_reconstruct_vector", recorded)
         assert rat_matrix(rows).solve(rhs) == x
-        # a 500-bit numerator cannot be read back modulo fewer than 9 primes
-        assert len(primes) >= 9
-        assert primes == sorted(set(primes), reverse=True)
+        # a 500-bit numerator cannot be read back from fewer than 9 base-p
+        # digits, and every digit is lifted with the one factorisation
+        assert [p for _, p in factorisations] == [FIRST_PRIME]
+        assert moduli[-1] >= FIRST_PRIME**9
+        assert all(FIRST_PRIME ** round(m.bit_length() / 61) == m for m in moduli)
+
+    def test_rhs_with_the_working_prime_as_a_denominator(self, monkeypatch):
+        # row scale p: the system is singular mod p, so the solve moves on to
+        # the next prime, and the kept factorisation stays the first prime's
+        p, second = islice(basis_module._primes(), 2)
+        rows = [[1, 2], [3, 4]]
+        matrix = rat_matrix(rows)
+        assert matrix.solve([1, 1]) == gauss_solve(rows, [1, 1])
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        for rhs in ([Fraction(1, p), 1], [Fraction(3, 7), Fraction(5, p * p)]):
+            assert matrix.solve(rhs) == gauss_solve(rows, rhs)
+        assert [q for _, q in factorisations] == [second, second]
+        assert matrix.solve([5, Fraction(1, 3)]) == gauss_solve(rows, [5, Fraction(1, 3)])
+        assert len(factorisations) == 2
 
     def test_solve_one_by_one(self):
         assert rat_matrix([[3]]).solve([5]) == [Fraction(5, 3)]
@@ -566,6 +595,32 @@ class TestExpress:
         with pytest.raises(SpanError) as info:
             express(eisenstein(12, 21), cusp_basis(12, 21))
         assert info.value.index == 0
+
+    def test_many_expressions_in_one_basis_factor_its_window_once(self, monkeypatch):
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        rng = random.Random(2024)
+        basis = new_basis(60, 2 * dimension_data(60).dim_modular + 8)
+        for _ in range(20):
+            coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in basis.elements]
+            target = QSeries.zero(60, basis.precision)
+            for c, el in zip(coords, basis.elements):
+                target = target + c * el.series
+            assert express(target, basis) == coords
+        assert len(factorisations) == 1
+
+    def test_fresh_basis_with_the_same_elements_gives_the_same_coordinates(self):
+        basis = new_basis(48, 40)
+        target = eisenstein(4, 40) ** 12
+        coords = express(target, basis)
+        fresh = Basis(basis.weight, basis.kind, basis.precision, basis.elements)
+        assert fresh == basis and "_express_system" not in vars(fresh)
+        assert express(target, fresh) == coords
+        tampered = bump(target, 30)
+        with pytest.raises(SpanError) as kept:
+            express(tampered, basis)
+        with pytest.raises(SpanError) as rebuilt:
+            express(tampered, Basis(basis.weight, basis.kind, basis.precision, basis.elements))
+        assert str(kept.value) == str(rebuilt.value) and kept.value.index == 30
 
     def test_empty_cusp_basis_expresses_only_zero(self):
         basis = cusp_basis(4, 16)

@@ -305,6 +305,33 @@ class TestBasisDocumentRealization:
         with pytest.raises(ValueError, match=r"^element 0 \(G_600\) must have descriptor"):
             basis_from_document(doc)
 
+    def test_rejects_wrong_cusp_descriptors_before_computing_any_correction(self, monkeypatch):
+        original = eisbasis.arith.bernoulli
+
+        def bounded(n):
+            assert n <= 4, f"computed B_{n} for a document with wrong descriptors"
+            return original(n)
+
+        for module in (eisbasis.arith, eisbasis.basis):
+            monkeypatch.setattr(module, "bernoulli", bounded)
+        precision = eisbasis.basis.default_precision(1200)
+        element = {"descriptor": {}, "label": "", "coefficients": ["0"] * precision}
+        doc = {"weight": 1200, "kind": "new-s", "precision": precision, "elements": [element] * 100}
+        with pytest.raises(ValueError) as info:
+            basis_from_document(doc)
+        assert str(info.value) == (
+            "element 0 (G_4*G_1196 + c*G_1200) must have descriptor type, u and v "
+            '{"type": "cusp-combo", "u": 4, "v": 1196}, not {}'
+        )
+        doc["elements"] = [
+            {"descriptor": {"type": "cusp-combo", "u": 4 * i, "v": 1200 - 4 * i, "c": "0"}}
+            for i in range(1, 100)
+        ] + [{"descriptor": {"type": "cusp-combo", "u": 400, "v": 800.0, "c": "0"}}]
+        for element in doc["elements"]:
+            element.update(label="", coefficients=["0"] * precision)
+        with pytest.raises(ValueError, match=r'^element 99 \(G_400\*G_800 .*"v": 800\.0'):
+            basis_from_document(doc)
+
     def test_rejects_empty_document_of_a_huge_weight_before_building(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("built a basis for a document without elements")
