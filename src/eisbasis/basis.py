@@ -215,9 +215,7 @@ class Basis:
 def default_precision(weight: int) -> int:
     """The precision a basis is built to when none is given: dim_cusp + 10
     terms, at least 16.  That covers the certified square window with
-    margin, but express() needs a basis as long as its target, which has
-    at least 2 * dim_modular + 8 terms: more than this from weight 48 on,
-    50 aside."""
+    margin.  express() needs a basis as long as its target instead."""
     return max(dimension_data(weight).dim_cusp + 10, 16)
 
 
@@ -248,13 +246,16 @@ def new_basis_descriptors(weight: int) -> list[Descriptor]:
     return descriptors
 
 
+def _realize(weight: int, kind: BasisKind, precision: int | None) -> Basis:
+    """The `kind` basis at `weight`, every descriptor realized to a checked precision."""
+    precision = _checked_precision(weight, precision)
+    elements = [BasisElement(d, d.realize(precision)) for d in basis_descriptors(weight, kind)]
+    return Basis(weight, kind, precision, tuple(elements))
+
+
 def new_basis(weight: int, precision: int | None = None) -> Basis:
     """The G_{2k}-plus-products basis for the full weight-2k space."""
-    precision = _checked_precision(weight, precision)
-    elements = tuple(
-        BasisElement(d, d.realize(precision)) for d in new_basis_descriptors(weight)
-    )
-    return Basis(weight, BasisKind.NEW_M, precision, elements)
+    return _realize(weight, BasisKind.NEW_M, precision)
 
 
 def cusp_correction(u: int, v: int) -> Fraction:
@@ -269,19 +270,15 @@ def cusp_correction(u: int, v: int) -> Fraction:
 def cusp_basis(weight: int, precision: int | None = None) -> Basis:
     """The corrected-product basis for the weight-2k cusp forms.
 
-    Every element's constant term is checked to vanish exactly during
-    construction; a nonzero value would be an arithmetic bug, not bad input.
+    Every element's constant term is checked to vanish exactly once it is
+    built; a nonzero value would be an arithmetic bug, not bad input.
     """
-    precision = _checked_precision(weight, precision)
-    elements = []
-    for combo in basis_descriptors(weight, BasisKind.NEW_S):
-        series = combo.realize(precision)
-        if series.coefficient(0) != 0:
-            raise ArithmeticError(
-                f"constant term failed to cancel for {combo.label()}: {series.coefficient(0)}"
-            )
-        elements.append(BasisElement(combo, series))
-    return Basis(weight, BasisKind.NEW_S, precision, tuple(elements))
+    basis = _realize(weight, BasisKind.NEW_S, precision)
+    for el in basis.elements:
+        if el.series.numerators[0]:
+            label, a0 = el.descriptor.label(), el.series.coefficient(0)
+            raise ArithmeticError(f"constant term failed to cancel for {label}: {a0}")
+    return basis
 
 
 def classical_exponents(weight: int) -> list[tuple[int, int]]:
@@ -303,10 +300,7 @@ def classical_exponents(weight: int) -> list[tuple[int, int]]:
 
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
     """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
-    precision = _checked_precision(weight, precision)
-    monomials = basis_descriptors(weight, BasisKind.CLASSICAL)
-    elements = tuple(BasisElement(d, d.realize(precision)) for d in monomials)
-    return Basis(weight, BasisKind.CLASSICAL, precision, elements)
+    return _realize(weight, BasisKind.CLASSICAL, precision)
 
 
 def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
@@ -451,12 +445,11 @@ class RatMatrix:
         """(p, N^-1 mod p) at the first working prime p that divides none of
         the row scales and at which the numerator matrix N is invertible.
         The first one found is kept as long as the matrix and reused while
-        its prime divides no scale.  At the first prime where N is singular
-        the exact determinant decides, once, whether it is singular over Q.
+        its prime divides no scale.  Each prime where N is singular asks the
+        exact determinant (a _bareiss memo hit after the first) if it is 0.
         """
         if self._kept and all(s % self._kept[0] for s in scales):
             return self._kept
-        determinant_known = False
         for p in _primes():
             if any(s % p == 0 for s in scales):
                 continue
@@ -464,10 +457,8 @@ class RatMatrix:
             if inverse is not None:
                 self._kept = self._kept or (p, inverse)
                 return p, inverse
-            if not determinant_known:
-                if self.determinant() == 0:
-                    raise ValueError("matrix is singular")
-                determinant_known = True
+            if self.determinant() == 0:
+                raise ValueError("matrix is singular")
 
 
 # verify certifies new-m, classical, then new-s, whose matrix is new-m's;
@@ -686,6 +677,17 @@ class SpanError(ValueError):
         )
 
 
+def _check_target_precision(target: QSeries) -> None:
+    """A target needs 2 * dim_modular + 8 coefficients: the square window
+    to solve on, then at least as many again to verify the solution on."""
+    need = 2 * dimension_data(target.weight).dim_modular + 8
+    if target.precision < need:
+        raise ValueError(
+            f"target precision {target.precision} too small: need >= {need} "
+            f"coefficients to solve and then verify"
+        )
+
+
 def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
@@ -700,13 +702,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
         raise ValueError(
             f"target weight {target.weight} does not match basis weight {basis.weight}"
         )
-    dims = dimension_data(basis.weight)
-    window = 2 * dims.dim_modular + 8
-    if target.precision < window:
-        raise ValueError(
-            f"target precision {target.precision} too small: need >= {window} "
-            f"coefficients to solve and then verify"
-        )
+    _check_target_precision(target)
     count = len(basis.elements)
     limit = target.precision
     common, columns, coords = 1, None, []

@@ -28,9 +28,10 @@ from .basis import (
     Product,
     Single,
     SpanError,
+    _check_target_precision,
+    _checked_precision,
     basis_descriptors,
     basis_for,
-    default_precision,
     express,
     new_basis_descriptors,
     verify_report,
@@ -167,13 +168,13 @@ def basis_from_document(obj) -> Basis:
     Weight, kind and precision fix a basis, so the document must be exactly
     what basis_to_document writes for the basis rebuilt from those three:
     the same descriptors, with the same JSON types, the same labels and the
-    same coefficient values.  The document's shape, its element count and
-    every element's coefficient count are checked first, so nothing is
-    built for a document whose size does not match its header; then the
-    descriptors and labels, so no series is realized for a document whose
-    elements are not the basis's.  New-s descriptors have their type, u and
-    v compared before any correction c, and so any Bernoulli number, is
-    computed.
+    same coefficient values.  The document's shape, its element count,
+    every element's coefficient count and the precision floor are checked
+    first, so nothing is built for a document whose size does not match its
+    header or is too short to certify; then the descriptors and labels, so
+    no series is realized for a document whose elements are not the basis's.
+    New-s descriptors have their type, u and v compared before any
+    correction c, and so any Bernoulli number, is computed.
     """
     if not isinstance(obj, dict):
         raise ValueError("basis document must be a JSON object")
@@ -196,6 +197,7 @@ def basis_from_document(obj) -> Basis:
                 f"document precision {precision} does not match the "
                 f"{count} coefficients of element {index}"
             )
+    _checked_precision(weight, precision)
     if kind is BasisKind.NEW_S:
         # a correction c costs the Bernoulli numbers up to the weight, so
         # every element's type, u and v are compared before any c is computed
@@ -315,14 +317,15 @@ def _cmd_express(args) -> int:
             raw = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read input file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from exc
     target = series_from_document(raw)
     if target.weight != args.weight:
         raise ValueError(
             f"document weight {target.weight} does not match requested weight {args.weight}"
         )
-    basis = basis_for(args.weight, args.kind, max(target.precision, default_precision(args.weight)))
+    _check_target_precision(target)
+    basis = basis_for(args.weight, args.kind, target.precision)
     try:
         coords = express(target, basis)
     except SpanError as exc:

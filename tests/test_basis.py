@@ -102,6 +102,14 @@ class TestCuspCorrections:
             with pytest.raises(ValueError, match="^precision 3 too small for weight 36: need >= 5$"):
                 build(36, 3)
 
+    def test_basis_for_calls_each_builder_by_its_module_name(self, monkeypatch):
+        # the benchmark's tracer records builds by rebinding these names
+        builders = {"new-m": "new_basis", "new-s": "cusp_basis", "classical": "classical_basis"}
+        calls = {name: counted_calls(monkeypatch, name) for name in builders.values()}
+        for kind in builders:
+            assert basis_for(36, kind, 8).kind is BasisKind(kind)
+        assert calls == {name: [(36, 8)] for name in builders.values()}
+
 
 class TestClassicalBasis:
     @pytest.mark.parametrize(
@@ -313,6 +321,16 @@ class TestRatMatrix:
         with pytest.raises(ValueError, match="singular"):
             rat_matrix([[p, 2 * p], [1, 2]]).solve([1, 1])
         assert calls == [2]
+
+    def test_solve_singular_mod_two_primes_eliminates_once(self):
+        # each singular prime asks for the determinant; the memo answers
+        # every ask after the first
+        p1, p2 = islice(basis_module._primes(), 2)
+        memo = basis_module._bareiss
+        before = memo.cache_info()
+        assert rat_matrix([[p1 * p2, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p1 * p2), 1]
+        after = memo.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
     def test_solve_needs_several_digits_for_500_bit_numerators(self, monkeypatch):
         rng = random.Random(500)

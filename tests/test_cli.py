@@ -332,6 +332,27 @@ class TestBasisDocumentRealization:
         with pytest.raises(ValueError, match=r'^element 99 \(G_400\*G_800 .*"v": 800\.0'):
             basis_from_document(doc)
 
+    def test_rejects_short_cusp_document_before_computing_any_correction(self, monkeypatch):
+        # right type, u and v, but too short to certify: the floor is checked
+        # with the counts, before any Bernoulli number above B_4
+        original = eisbasis.arith.bernoulli
+
+        def bounded(n):
+            assert n <= 4, f"computed B_{n} for a document below the precision floor"
+            return original(n)
+
+        for module in (eisbasis.arith, eisbasis.basis):
+            monkeypatch.setattr(module, "bernoulli", bounded)
+        elements = [
+            {"descriptor": {"type": "cusp-combo", "u": 4 * i, "v": 1200 - 4 * i, "c": "0"},
+             "label": "", "coefficients": ["0"]}
+            for i in range(1, 101)
+        ]
+        doc = {"weight": 1200, "kind": "new-s", "precision": 1, "elements": elements}
+        with pytest.raises(ValueError) as info:
+            basis_from_document(doc)
+        assert str(info.value) == "precision 1 too small for weight 1200: need >= 102"
+
     def test_rejects_empty_document_of_a_huge_weight_before_building(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("built a basis for a document without elements")
@@ -596,6 +617,34 @@ class TestExpressCommand:
         # 2764/15 * 10^4400 = 5528 * 10^4399 / 3, written without int->str
         assert json.loads(out) == ["-455" + "0" * 4397 + "/3", "5528" + "0" * 4399 + "/3"]
         assert get_limit() == limit
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(
+            capsys, "express", "--weight", "12", "--kind", "new-m", "--input", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input is not valid JSON: ")
+
+    def test_short_document_of_a_huge_weight_is_rejected_before_building(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def unreachable(*args):
+            raise AssertionError("built a basis for a target too short to express")
+
+        monkeypatch.setattr(eisbasis.cli, "basis_for", unreachable)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"weight": 2400, "precision": 1, "coefficients": ["0"]}))
+        code, out, err = run_cli(
+            capsys, "express", "--weight", "2400", "--kind", "new-s", "--input", str(path)
+        )
+        assert (code, out, err) == (
+            2,
+            "",
+            "error: target precision 1 too small: "
+            "need >= 410 coefficients to solve and then verify\n",
+        )
 
     def test_short_document_is_usage_error(self, capsys, tmp_path):
         path = write_series(tmp_path, delta_series(6))

@@ -1,20 +1,38 @@
-"""Property test of parse_rational against its earlier definition.
+"""Property tests of the document parsers.
 
-The parser reads the value straight from the pattern's groups and checks
-canonical form structurally.  It must accept and reject exactly the strings
-the definition below does, which parsed the string with Fraction and
-compared it with str() of the result, and with the same messages.
+The rational parser reads the value straight from the pattern's groups and
+checks canonical form structurally.  It must accept and reject exactly the
+strings the definition below does, which parsed the string with Fraction
+and compared it with str() of the result, and with the same messages.
+
+Basis and series documents with one mutation applied must be rejected as
+input errors: the loader raises ValueError, the express command exits 2,
+and neither raises anything else or accepts the document.
 """
 
+import io
+import json
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from eisbasis.cli import parse_rational  # noqa: E402
+from eisbasis import basis_for, dimension_data  # noqa: E402
+from eisbasis.basis import BasisKind  # noqa: E402
+from eisbasis.cli import (  # noqa: E402
+    basis_from_document,
+    basis_to_document,
+    format_rational,
+    main,
+    parse_rational,
+)
 
 REFERENCE_RE = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
@@ -73,3 +91,144 @@ def test_digit_limit_errors_are_unchanged():
     for text in (huge, f"1/{huge}", f"2{huge}/4", f"-{huge}\n"):
         assert outcome(parse_rational, text) == outcome(reference_parse, text)
         assert "limit" in outcome(parse_rational, text)[1]
+
+
+@lru_cache(maxsize=None)
+def basis_text(weight, kind):
+    return json.dumps(basis_to_document(basis_for(weight, kind)))
+
+
+def other_values(value):
+    """JSON values that differ from `value` in type or in value."""
+    if isinstance(value, int):
+        return [float(value), True, str(value), value + 1]
+    return [value + "x", 1, None]
+
+
+@st.composite
+def mutated_basis_documents(draw):
+    """(mutation, basis document with that mutation applied once)."""
+    weight = draw(st.sampled_from(range(12, 38, 2)))
+    kind = draw(st.sampled_from([k.value for k in BasisKind]))
+    doc = json.loads(basis_text(weight, kind))
+    elements = doc["elements"]
+    mutation = draw(st.sampled_from([
+        "descriptor key", "descriptor value", "label", "precision", "short precision",
+        "coefficient", "drop element", "duplicate element",
+    ]))
+    if mutation == "short precision":
+        # counts that agree, but too few coefficients to certify
+        floor = dimension_data(weight).dim_cusp + 2
+        doc["precision"] = draw(st.integers(0, floor - 1))
+        for element in elements:
+            del element["coefficients"][doc["precision"]:]
+        return mutation, doc
+    # an empty new-s basis has no element to mutate, and with its precision
+    # changed it is the valid document of another precision
+    assume(elements)
+    element = draw(st.sampled_from(elements))
+    descriptor = element["descriptor"]
+    if mutation == "descriptor key":
+        key = draw(st.sampled_from(sorted(descriptor)))
+        action = draw(st.sampled_from(["rename", "drop", "add"]))
+        value = 0 if action == "add" else descriptor.pop(key)
+        if action != "drop":
+            descriptor[key + "_"] = value
+    elif mutation == "descriptor value":
+        key = draw(st.sampled_from(sorted(descriptor)))
+        descriptor[key] = draw(st.sampled_from(other_values(descriptor[key])))
+    elif mutation == "label":
+        element["label"] = draw(st.sampled_from(other_values(element["label"])))
+    elif mutation == "precision":
+        old = doc["precision"]
+        values = st.integers(-3, 3 * old) | st.sampled_from(other_values(old))
+        doc["precision"] = draw(values.filter(lambda v: v != old or type(v) is not int))
+    elif mutation == "coefficient":
+        coefficients = element["coefficients"]
+        j = draw(st.integers(0, len(coefficients) - 1))
+        old = parse_rational(coefficients[j])
+        new = draw(st.fractions(max_denominator=10**6).filter(lambda v: v != old))
+        coefficients[j] = format_rational(new)
+    elif mutation == "drop element":
+        elements.remove(element)
+    else:
+        elements.insert(elements.index(element), json.loads(json.dumps(element)))
+    return mutation, doc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(mutated_basis_documents())
+def test_mutated_basis_document_is_rejected(case):
+    with pytest.raises(ValueError):
+        basis_from_document(case[1])
+
+
+# --- series documents ------------------------------------------------------
+
+DELTA = {
+    "weight": 12,
+    "precision": 12,
+    "coefficients": ["0", "1", "-24", "252", "-1472", "4830", "-6048", "-16744", "84480",
+                     "-113643", "-115920", "534612"],
+}
+# wrong for every key; [] is a list, but of the wrong length for "coefficients"
+WRONG_TYPES = [None, True, 12.0, "12", [], {}]
+
+
+@st.composite
+def mutated_series_documents(draw):
+    """(mutation, README discriminant document with one structural fault)."""
+    doc = json.loads(json.dumps(DELTA))
+    coefficients = doc["coefficients"]
+    mutation = draw(st.sampled_from([
+        "missing key", "extra key", "wrong type", "wrong coefficient type",
+        "non-canonical", "precision", "length",
+    ]))
+    if mutation == "missing key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif mutation == "extra key":
+        doc[draw(st.sampled_from(["note", "kind", "Weight", ""]))] = draw(st.sampled_from([0, "x"]))
+    elif mutation == "wrong type":
+        key = draw(st.sampled_from(sorted(doc) + [None]))
+        if key is None:
+            doc = draw(st.sampled_from([[], "doc", 12, None]))
+        else:
+            doc[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif mutation == "wrong coefficient type":
+        coefficients[draw(st.integers(0, 11))] = draw(st.sampled_from([0, 1.5, None, ["1"]]))
+    elif mutation == "non-canonical":
+        texts = ["-0", "2/4", "3/1", "+1", " 1", "1 ", "01", "1/0", "0/5", "1.0", ""]
+        coefficients[draw(st.integers(0, 11))] = draw(st.sampled_from(texts))
+    elif mutation == "precision":
+        doc["precision"] = draw(st.integers(-3, 40).filter(lambda v: v != 12))
+    else:
+        extra = draw(st.integers(-12, 8).filter(bool))
+        del coefficients[12 + extra:]
+        coefficients += ["0"] * extra
+    return mutation, doc
+
+
+def run_express(doc, kind):
+    """main(["express", ...]) on `doc` written to a temporary file:
+    (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["express", "--weight", "12", "--kind", kind, "--input", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_unmutated_series_document_is_expressed():
+    assert run_express(DELTA, "new-m") == (0, '["-91/600", "2764/15"]\n', "")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(mutated_series_documents(), st.sampled_from([k.value for k in BasisKind]))
+def test_mutated_series_document_exits_two(case, kind):
+    mutation, doc = case
+    code, out, err = run_express(doc, kind)
+    assert (code, out) == (2, ""), (mutation, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
