@@ -188,6 +188,15 @@ class Basis:
     precision: int
     elements: tuple[BasisElement, ...]
 
+    def __post_init__(self):
+        # the certificate holds for forms of this weight only
+        for index, el in enumerate(self.elements):
+            if el.series.weight != self.weight:
+                raise ValueError(
+                    f"element {index} ({el.descriptor.label()}) has weight "
+                    f"{el.series.weight}, not the basis weight {self.weight}"
+                )
+
     def labels(self) -> list[str]:
         return [el.descriptor.label() for el in self.elements]
 
@@ -213,37 +222,61 @@ class Basis:
 
 
 def default_precision(weight: int) -> int:
-    """The precision a basis is built to when none is given: dim_cusp + 10
-    terms, at least 16.  That covers the certified square window with
-    margin.  express() needs a basis as long as its target instead."""
+    """The precision a basis is built to when none is given, as for a
+    printed basis: dim_cusp + 10 terms, at least 16.  Verification builds
+    at the floor instead, and express() needs a basis as long as its
+    target."""
     return max(dimension_data(weight).dim_cusp + 10, 16)
 
 
+def _precision_floor(weight: int) -> int:
+    """dim_cusp + 2 terms: the fewest that hold the square window a basis
+    is certified on."""
+    return dimension_data(weight).dim_cusp + 2
+
+
 def _checked_precision(weight: int, precision: int | None) -> int:
-    """`precision`, or default_precision(weight) when it is None.  Fewer
-    than dim_cusp + 2 terms cannot hold the square window a basis is
-    certified on, so a smaller precision is rejected."""
+    """`precision`, or default_precision(weight) when it is None.  A
+    precision below the floor is rejected."""
     if precision is None:
         return default_precision(weight)
-    floor = dimension_data(weight).dim_cusp + 2
+    floor = _precision_floor(weight)
     if precision < floor:
         raise ValueError(f"precision {precision} too small for weight {weight}: need >= {floor}")
     return precision
 
 
-def new_basis_descriptors(weight: int) -> list[Descriptor]:
-    """G_{2k} first, then the product pairs in increasing first-factor order.
+def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
+    """The descriptors of the `kind` basis at `weight`, in basis order, with
+    no series realized; only the cusp corrections cost anything (Bernoulli
+    numbers).
 
-    The factor weights run (4i, 2k-4i) when 2k = 0 mod 4 and
-    (4i+2, 2k-4i-2) when 2k = 2 mod 4, for i = 1..dim_cusp; both factors
-    always land at weight >= 4.
+    new-m is G_{2k}, then the products in increasing first-factor order:
+    the factor weights run (4i, 2k-4i) when 2k = 0 mod 4 and
+    (4i+2, 2k-4i-2) when 2k = 2 mod 4, for i = 1..dim_cusp, so both factors
+    always land at weight >= 4.  new-s is the same products with their cusp
+    corrections.  classical is every (alpha, beta) with
+    4*alpha + 6*beta = 2k, in increasing beta order.
     """
+    kind = BasisKind(kind)
     dims = dimension_data(weight)
-    descriptors: list[Descriptor] = [Single(weight)]
-    for i in range(1, dims.dim_cusp + 1):
-        u = 4 * i if weight % 4 == 0 else 4 * i + 2
-        descriptors.append(Product(u, weight - u))
-    return descriptors
+    if kind is BasisKind.CLASSICAL:
+        pairs = [
+            ((weight - 6 * beta) // 4, beta)
+            for beta in range(weight // 6 + 1)
+            if (weight - 6 * beta) % 4 == 0
+        ]
+        if len(pairs) != dims.dim_modular:
+            raise ArithmeticError(
+                f"exponent enumeration for weight {weight} found {len(pairs)} monomials, "
+                f"expected {dims.dim_modular}"
+            )
+        return [Monomial(alpha, beta) for alpha, beta in pairs]
+    offset = 0 if weight % 4 == 0 else 2
+    products = [Product(4 * i + offset, weight - 4 * i - offset) for i in range(1, dims.dim_cusp + 1)]
+    if kind is BasisKind.NEW_M:
+        return [Single(weight), *products]
+    return [CuspCombo(p.u, p.v, cusp_correction(p.u, p.v)) for p in products]
 
 
 def _realize(weight: int, kind: BasisKind, precision: int | None) -> Basis:
@@ -281,41 +314,9 @@ def cusp_basis(weight: int, precision: int | None = None) -> Basis:
     return basis
 
 
-def classical_exponents(weight: int) -> list[tuple[int, int]]:
-    """All (alpha, beta) with 4*alpha + 6*beta = weight, in increasing beta
-    order, i.e. decreasing G_4 exponent."""
-    dims = dimension_data(weight)
-    pairs = []
-    for beta in range(weight // 6 + 1):
-        remainder = weight - 6 * beta
-        if remainder >= 0 and remainder % 4 == 0:
-            pairs.append((remainder // 4, beta))
-    if len(pairs) != dims.dim_modular:
-        raise ArithmeticError(
-            f"exponent enumeration for weight {weight} found {len(pairs)} monomials, "
-            f"expected {dims.dim_modular}"
-        )
-    return pairs
-
-
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
     """The monomial basis G_4^alpha * G_6^beta for the full weight-2k space."""
     return _realize(weight, BasisKind.CLASSICAL, precision)
-
-
-def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
-    """The descriptors of the `kind` basis at `weight`, in basis order, with
-    no series realized; only the cusp corrections cost anything (Bernoulli
-    numbers)."""
-    kind = BasisKind(kind)
-    if kind is BasisKind.NEW_M:
-        return new_basis_descriptors(weight)
-    if kind is BasisKind.NEW_S:
-        return [
-            CuspCombo(p.u, p.v, cusp_correction(p.u, p.v))
-            for p in new_basis_descriptors(weight)[1:]
-        ]
-    return [Monomial(alpha, beta) for alpha, beta in classical_exponents(weight)]
 
 
 def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) -> Basis:
@@ -613,16 +614,12 @@ class VerificationReport:
     constant_terms_vanish: bool | None
 
     @property
-    def counts_match(self) -> bool:
-        return self.element_count == self.expected_count
-
-    @property
     def confirmed(self) -> bool:
-        if not self.counts_match:
-            return False
-        if self.determinant is not None and self.determinant == 0:
-            return False
-        return self.constant_terms_vanish in (None, True)
+        return (
+            self.element_count == self.expected_count
+            and self.determinant != 0
+            and self.constant_terms_vanish is not False
+        )
 
 
 def verify_report(basis: Basis) -> VerificationReport:
@@ -660,8 +657,10 @@ def verify_report(basis: Basis) -> VerificationReport:
     return VerificationReport(basis.weight, basis.kind, count, expected, det, vanish)
 
 
-def verify_basis(weight: int, kind: BasisKind | str, precision: int | None = None) -> VerificationReport:
-    return verify_report(basis_for(weight, kind, precision))
+def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
+    """Certify the `kind` basis at `weight`, built at the precision floor:
+    the report reads only the square window, so longer series add nothing."""
+    return verify_report(basis_for(weight, kind, _precision_floor(weight)))
 
 
 class SpanError(ValueError):

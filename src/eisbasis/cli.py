@@ -33,8 +33,7 @@ from .basis import (
     basis_descriptors,
     basis_for,
     express,
-    new_basis_descriptors,
-    verify_report,
+    verify_basis,
 )
 from .qseries import QSeries
 
@@ -201,7 +200,8 @@ def basis_from_document(obj) -> Basis:
     if kind is BasisKind.NEW_S:
         # a correction c costs the Bernoulli numbers up to the weight, so
         # every element's type, u and v are compared before any c is computed
-        for index, (entry, product) in enumerate(zip(entries, new_basis_descriptors(weight)[1:])):
+        products = basis_descriptors(weight, BasisKind.NEW_M)[1:]
+        for index, (entry, product) in enumerate(zip(entries, products)):
             want = {"type": _DESCRIPTORS[CuspCombo][0], "u": product.u, "v": product.v}
             got = entry.get("descriptor")
             if not isinstance(got, dict) or _json({k: got.get(k) for k in want}) != _json(want):
@@ -288,11 +288,9 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for weight in range(4, args.max_weight + 1, 2):
         oracle = dimension_oracle(weight)
-        reports = [
-            verify_report(basis_for(weight, kind))
-            for kind in (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
-        ]
-        new_m, classical, new_s = reports
+        # new-s last: its determinant is new-m's, still in the memo
+        kinds = (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
+        new_m, classical, new_s = reports = [verify_basis(weight, kind) for kind in kinds]
         checks = [
             ("dim", new_m.element_count == new_m.expected_count == oracle),
             ("new-m det", new_m.determinant != 0),

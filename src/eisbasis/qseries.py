@@ -108,12 +108,6 @@ class QSeries:
         object.__setattr__(self, "numerators", tuple(numerators))
         object.__setattr__(self, "denominator", denominator)
 
-    @classmethod
-    def zero(cls, weight: int, precision: int) -> QSeries:
-        if precision < 1:
-            raise ValueError(f"precision must be positive, got {precision}")
-        return cls(weight, (0,) * precision)
-
     @property
     def precision(self) -> int:
         return len(self.numerators)

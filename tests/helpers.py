@@ -5,7 +5,9 @@ Bernoulli numbers come from the full recurrence over all indices, divisor
 sums from exhaustive enumeration, series products from the schoolbook
 convolution sum, primes from a Fermat test, determinants from Leibniz
 expansion, linear solves from Gaussian elimination over Fractions, and the
-discriminant cusp form from the unit-normalized series combination.
+discriminant cusp form from the unit-normalized series combination.  The
+Hecke operator T_2 acts on coefficients directly; its traces take express()
+as given and check that the series it is fed are modular forms at all.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, lcm
 
-from eisbasis import Basis, BasisElement, QSeries, RatMatrix, dimension_data, eisenstein
+from eisbasis import (
+    Basis,
+    BasisElement,
+    QSeries,
+    RatMatrix,
+    basis_for,
+    dimension_data,
+    eisenstein,
+    express,
+)
 from eisbasis.basis import BasisKind
 
 
@@ -38,6 +49,40 @@ def delta_series(precision: int) -> QSeries:
     e4 = 240 * eisenstein(4, precision)
     e6 = -504 * eisenstein(6, precision)
     return (e4**3 - e6**2) / 1728
+
+
+def hecke_t2(series: QSeries, precision: int) -> QSeries:
+    """T_2 of a weight-w series to `precision` terms (it reads 2 * precision - 1):
+    b(n) = a(2n) + 2^(w-1) a(n/2), the second term for even n only."""
+    scale = 2 ** (series.weight - 1)
+    coeffs = [
+        series.coefficient(2 * n) + (scale * series.coefficient(n // 2) if n % 2 == 0 else 0)
+        for n in range(precision)
+    ]
+    return QSeries(series.weight, coeffs)
+
+
+def t2_traces(weight: int, kind, powers: int) -> list[Fraction]:
+    """tr(T_2^k) for k = 1..powers in the `kind` basis at `weight`.
+
+    T_2 of each element of the basis built at 2P terms, expressed in the
+    basis built at P = 2 * dim_modular + 8, is one row of T_2's matrix (its
+    transpose, which has the same traces); the powers are taken over
+    Fractions.
+    """
+    precision = 2 * dimension_data(weight).dim_modular + 8
+    short = basis_for(weight, kind, precision)
+    long = basis_for(weight, kind, 2 * precision)
+    matrix = [express(hecke_t2(el.series, precision), short) for el in long.elements]
+    n = len(matrix)
+    traces, power = [], matrix
+    for _ in range(powers):
+        traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+        power = [
+            [sum((row[l] * matrix[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
+            for row in power
+        ]
+    return traces
 
 
 def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:

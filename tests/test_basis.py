@@ -28,10 +28,17 @@ from eisbasis.basis import (
     Monomial,
     Product,
     Single,
-    classical_exponents,
-    new_basis_descriptors,
+    basis_descriptors,
 )
-from helpers import delta_series, det_leibniz, fermat_prime, gauss_solve, rat_matrix
+from helpers import (
+    delta_series,
+    det_leibniz,
+    fermat_prime,
+    gauss_solve,
+    hecke_t2,
+    rat_matrix,
+    t2_traces,
+)
 
 # the first prime the modular solve works with
 FIRST_PRIME = next(basis_module._primes())
@@ -53,28 +60,28 @@ def counted_calls(monkeypatch, name):
 
 class TestDescriptors:
     def test_weight_36_lists_the_expected_products(self):
-        labels = [d.label() for d in new_basis_descriptors(36)]
+        labels = [d.label() for d in basis_descriptors(36, "new-m")]
         assert labels == ["G_36", "G_4*G_32", "G_8*G_28", "G_12*G_24"]
 
     def test_weight_4_has_no_products(self):
-        assert new_basis_descriptors(4) == [Single(4)]
+        assert basis_descriptors(4, "new-m") == [Single(4)]
 
     def test_weight_38_uses_the_odd_parity_branch(self):
-        assert new_basis_descriptors(38) == [Single(38), Product(6, 32), Product(10, 28)]
+        assert basis_descriptors(38, "new-m") == [Single(38), Product(6, 32), Product(10, 28)]
 
     def test_count_matches_dimension_up_to_120(self):
         for w in range(4, 122, 2):
-            descriptors = new_basis_descriptors(w)
+            descriptors = basis_descriptors(w, "new-m")
             assert len(descriptors) == dimension_data(w).dim_modular == dimension_oracle(w)
 
     def test_factor_weights_legal_up_to_400(self):
         for w in range(4, 402, 2):
-            for d in new_basis_descriptors(w)[1:]:
+            for d in basis_descriptors(w, "new-m")[1:]:
                 assert d.u >= 4 and d.v >= 4 and d.u + d.v == w
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
-            new_basis_descriptors(5)
+            basis_descriptors(5, "new-m")
 
 
 class TestCuspCorrections:
@@ -122,7 +129,7 @@ class TestClassicalBasis:
         ],
     )
     def test_exponent_enumeration(self, weight, pairs):
-        assert classical_exponents(weight) == pairs
+        assert [(d.alpha, d.beta) for d in basis_descriptors(weight, "classical")] == pairs
 
     def test_monomial_realization_matches_direct_powers(self):
         # the shared power tables against each monomial built on its own
@@ -410,9 +417,13 @@ class TestVerification:
         assert report.confirmed
 
     def test_all_kinds_confirm_up_to_120(self):
+        # verify_basis builds at the precision floor; the report must be the
+        # one of the basis built at the default precision
         for w in range(4, 122, 2):
             for kind in BasisKind:
-                assert verify_basis(w, kind).confirmed, (w, kind)
+                report = verify_basis(w, kind)
+                assert report.confirmed, (w, kind)
+                assert report == verify_report(basis_for(w, kind)), (w, kind)
 
     def test_corrupted_cusp_basis_is_rejected(self):
         basis = cusp_basis(12)
@@ -430,6 +441,19 @@ class TestVerification:
         short = basis.elements[:-1] + (BasisElement(last.descriptor, last.series.truncate(3)),)
         with pytest.raises(ValueError, match="coefficient"):
             verify_report(Basis(36, BasisKind.NEW_S, basis.precision, short))
+
+    def test_series_of_another_weight_are_rejected(self):
+        # G_16 and G_4*G_12 are weight-16 forms: the window certificate
+        # says nothing about them as a weight-12 basis
+        message = "^element 0 \\(G_16\\) has weight 16, not the basis weight 12$"
+        with pytest.raises(ValueError, match=message):
+            Basis(12, BasisKind.NEW_M, 16, new_basis(16, 16).elements)
+        with pytest.raises(ValueError, match="not the basis weight 12"):
+            Basis(12, BasisKind.CLASSICAL, 16, classical_basis(16, 16).elements)
+
+    def test_express_into_a_basis_of_another_weight_is_rejected(self):
+        with pytest.raises(ValueError, match="not the basis weight 12"):
+            express(delta_series(21), Basis(12, BasisKind.NEW_M, 21, new_basis(16, 21).elements))
 
     def test_duplicated_row_is_rejected(self):
         basis = new_basis(12)
@@ -545,7 +569,7 @@ class TestExpress:
         target = eisenstein(4, 24) ** 9
         basis = new_basis(36, 24)
         coords = express(target, basis)
-        reconstruction = QSeries.zero(36, 24)
+        reconstruction = QSeries(36, (0,) * 24)
         for c, el in zip(coords, basis.elements):
             reconstruction = reconstruction + c * el.series
         assert reconstruction == target
@@ -561,7 +585,7 @@ class TestExpress:
                     Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                     for _ in basis.elements
                 ]
-                target = QSeries.zero(weight, precision)
+                target = QSeries(weight, (0,) * precision)
                 for c, el in zip(coords, basis.elements):
                     target = target + c * el.series
                 assert express(target, basis) == coords
@@ -620,7 +644,7 @@ class TestExpress:
         basis = new_basis(60, 2 * dimension_data(60).dim_modular + 8)
         for _ in range(20):
             coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in basis.elements]
-            target = QSeries.zero(60, basis.precision)
+            target = QSeries(60, (0,) * basis.precision)
             for c, el in zip(coords, basis.elements):
                 target = target + c * el.series
             assert express(target, basis) == coords
@@ -642,7 +666,7 @@ class TestExpress:
 
     def test_empty_cusp_basis_expresses_only_zero(self):
         basis = cusp_basis(4, 16)
-        assert express(QSeries.zero(4, 16), basis) == []
+        assert express(QSeries(4, (0,) * 16), basis) == []
         with pytest.raises(SpanError) as info:
             express(eisenstein(4, 16), basis)
         assert info.value.index == 0
@@ -692,7 +716,7 @@ class TestExpressAgainstReference:
                 Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
                 for _ in basis.elements
             ]
-            target = QSeries.zero(weight, precision)
+            target = QSeries(weight, (0,) * precision)
             for c, el in zip(coords, basis.elements):
                 target = target + c * el.series
             shift = int(kind is BasisKind.NEW_S)
@@ -708,3 +732,30 @@ class TestExpressAgainstReference:
                 else:
                     assert got[0] == "span"
 
+
+class TestHeckeT2:
+    """T_2 maps each weight-w space to itself, so the traces of its powers
+    are the same in every basis of that space; on the cusp space they lose
+    the eigenvalue 1 + 2^(w-1) of G_w.  A series that is not a modular form
+    has a T_2 image outside the span, so express() rejects it."""
+
+    @pytest.mark.parametrize("weight", [24, 48, 96])
+    def test_traces_agree_across_kinds(self, weight):
+        new_m = t2_traces(weight, "new-m", 3)
+        assert t2_traces(weight, "classical", 3) == new_m
+        eigenvalue = 1 + 2 ** (weight - 1)
+        cusp = [t - eigenvalue**k for k, t in enumerate(new_m, start=1)]
+        assert t2_traces(weight, "new-s", 3) == cusp
+
+    @pytest.mark.parametrize("weight", [24, 48, 96])
+    def test_perturbed_constant_term_leaves_the_span(self, weight):
+        precision = 2 * dimension_data(weight).dim_modular + 8
+        g = eisenstein(weight, 2 * precision)
+        perturbed = g + QSeries(weight, (1,) + (0,) * (2 * precision - 1))
+        eigenvalue = 1 + 2 ** (weight - 1)
+        for kind in ("new-m", "classical"):
+            basis = basis_for(weight, kind, precision)
+            image = express(hecke_t2(g, precision), basis)
+            assert image == express(eigenvalue * g.truncate(precision), basis)
+            with pytest.raises(SpanError):
+                express(hecke_t2(perturbed, precision), basis)

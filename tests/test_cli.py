@@ -516,13 +516,13 @@ class TestVerifyCommand:
         assert "all pass (59 weights)" in out
 
     def test_corruption_hook_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(eisbasis.cli, "basis_for", tampered_at(eisbasis.cli.basis_for, 12))
+        monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(eisbasis.basis.basis_for, 12))
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "12")
         assert code == 1
         assert "FAIL" in out
 
     def test_corruption_hook_at_cuspless_weight(self, capsys, monkeypatch):
-        monkeypatch.setattr(eisbasis.cli, "basis_for", tampered_at(eisbasis.cli.basis_for, 4))
+        monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(eisbasis.basis.basis_for, 4))
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "4")
         assert code == 1
 

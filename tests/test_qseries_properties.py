@@ -29,7 +29,7 @@ scalars = st.one_of(st.integers(-50, 50), rationals)
 @st.composite
 def series(draw, weight=4):
     if draw(st.integers(0, 9)) == 0:
-        return QSeries.zero(weight, draw(st.integers(1, 12)))
+        return QSeries(weight, (0,) * draw(st.integers(1, 12)))
     return QSeries(weight, draw(st.lists(rationals, min_size=1, max_size=12)))
 
 
