@@ -28,13 +28,13 @@ element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
 G_2k and S_i - c_i * G_2k becomes, after adding c_i times the first row
 to row i, block-triangular with first column (a_0(G_2k), 0, ..., 0), so
 its determinant is a_0(G_2k) times the new-s determinant over a_1..a_n.
-That holds for any c_i, so it stays exact for a tampered basis; with c_i
-the cusp correction the rows are the new-m products, whose entries are a
-few times smaller.  The last four determinants are kept, keyed by their
-exact integer rows, so certifying new-s after new-m and classical, as
-verify does, repeats no elimination.  Unlike the series caches the memo
-is bounded, and a hit needs an identical integer matrix, so it never
-changes a determinant.
+That holds for any c_i (an element's correction, or 0 if it has none), so
+it serves whenever the constant terms vanish; with c_i the cusp correction
+the rows are the new-m products, whose entries are a few times smaller.
+The last four determinants are kept, keyed by their exact integer rows, so
+certifying new-s after new-m and classical, as verify does, repeats no
+elimination.  Unlike the series caches the memo is bounded, and a hit
+needs an identical integer matrix, so it never changes a determinant.
 
 Expressing a form in coordinates solves the leading square window by
 p-adic (Dixon) lifting.  The basis keeps its window with its inverse mod
@@ -189,12 +189,21 @@ class Basis:
     elements: tuple[BasisElement, ...]
 
     def __post_init__(self):
-        # the certificate holds for forms of this weight only
+        # a kind may be given by name; every reader of a basis relies on the
+        # window fitting in `precision` and on each element filling it
+        object.__setattr__(self, "kind", BasisKind(self.kind))
+        if self.precision < self.window.stop:
+            raise ValueError(f"precision {self.precision} below the window end {self.window.stop}")
         for index, el in enumerate(self.elements):
+            # the certificate holds for forms of this weight only
             if el.series.weight != self.weight:
                 raise ValueError(
                     f"element {index} ({el.descriptor.label()}) has weight "
                     f"{el.series.weight}, not the basis weight {self.weight}"
+                )
+            if el.series.precision != self.precision:
+                raise ValueError(
+                    f"element {index} has {el.series.precision} coefficients, not {self.precision}"
                 )
 
     def labels(self) -> list[str]:
@@ -216,8 +225,9 @@ class Basis:
         series = [el.series for el in self.elements]
         common = lcm(*[s.denominator for s in series])
         scales = [common // s.denominator for s in series]
-        depth = min(s.precision for s in series)
-        columns = [[s.numerators[j] * c for s, c in zip(series, scales)] for j in range(depth)]
+        columns = [
+            [s.numerators[j] * c for s, c in zip(series, scales)] for j in range(self.precision)
+        ]
         return common, columns, RatMatrix([(columns[j], common) for j in self.window])
 
 
@@ -230,8 +240,8 @@ def default_precision(weight: int) -> int:
 
 
 def _precision_floor(weight: int) -> int:
-    """dim_cusp + 2 terms: the fewest that hold the square window a basis
-    is certified on."""
+    """dim_cusp + 2 terms: one more than the square window a basis is
+    certified on needs, a_0..a_dim_cusp at most."""
     return dimension_data(weight).dim_cusp + 2
 
 
@@ -334,19 +344,20 @@ class RatMatrix:
 
     It is built from cleared rows: row i is a pair (numerators, denominator)
     of integers, denominator > 0, holding the entries numerators[j] /
-    denominator.  There must be at least one row, and every row must have
-    the same nonzero number of entries.  Each row is kept in lowest terms,
-    which makes the cleared rows of a matrix of rationals unique.
+    denominator.  There must be at least one row, and the matrix must be
+    square.  Each row is kept in lowest terms, which makes the cleared rows
+    of a matrix of rationals unique.
     """
 
     def __init__(self, rows):
-        if not rows or not rows[0][0]:
+        # a square matrix with a row has a column too
+        if not rows:
             raise ValueError("matrix needs at least one row and one column")
-        width = len(rows[0][0])
+        n = len(rows)
         cleared = []
         for numerators, den in rows:
-            if len(numerators) != width:
-                raise ValueError("matrix rows must all have the same length")
+            if len(numerators) != n:
+                raise ValueError(f"matrix must be square: {n} rows, a row of {len(numerators)}")
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
             # gcd takes integers only: a float entry raises TypeError here
@@ -359,10 +370,6 @@ class RatMatrix:
     def rows(self) -> int:
         return len(self._rows)
 
-    @property
-    def cols(self) -> int:
-        return len(self._rows[0][0])
-
     def row_list(self) -> list[list[Fraction]]:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
 
@@ -374,9 +381,6 @@ class RatMatrix:
         (verify_report's new-s matrix is new-m's) costs a lookup.  A hit
         needs an identical matrix, so it cannot change the answer.
         """
-        n = self.rows
-        if n != self.cols:
-            raise ValueError(f"determinant needs a square matrix, got {n}x{self.cols}")
         return _bareiss(self._rows)
 
     def solve(self, rhs) -> list[Fraction]:
@@ -393,8 +397,6 @@ class RatMatrix:
         nonsingular matrix, so a candidate failing there is ArithmeticError.
         """
         n = self.rows
-        if n != self.cols:
-            raise ValueError(f"solve needs a square matrix, got {n}x{self.cols}")
         if len(rhs) != n:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
         if any(isinstance(b, float) for b in rhs):
@@ -629,11 +631,11 @@ def verify_report(basis: Basis) -> VerificationReport:
     over ``basis.window``, must be non-singular.  Cusp kind: every constant
     term must also vanish exactly.
 
-    When they all vanish and every element carries a rational correction
-    c_i, as a CuspCombo does, the new-s determinant is that of the rows
-    G_2k and S_i - c_i * G_2k over a_0..a_n divided by a_0(G_2k) (see the
-    module docstring): the same value as over a_1..a_n directly, from
-    new-m's matrix, which the determinant memo usually holds already.
+    When they all vanish, the new-s determinant is that of the rows G_2k
+    and S_i - c_i * G_2k over a_0..a_n divided by a_0(G_2k), for any c_i
+    (see the module docstring); c_i is the element's correction, or 0 when
+    it has none.  Untampered, those rows are new-m's matrix, which the
+    determinant memo usually holds already.
     """
     count = len(basis.elements)
     vanish = None
@@ -642,13 +644,10 @@ def verify_report(basis: Basis) -> VerificationReport:
     det = None
     if count:
         start, stop = basis.window.start, basis.window.stop
-        shallow = min(el.series.precision for el in basis.elements)
-        if shallow < stop:
-            raise ValueError(f"certifying needs {stop} coefficients; an element has {shallow}")
         series, a0 = [el.series for el in basis.elements], 1
-        corrections = [getattr(el.descriptor, "c", None) for el in basis.elements]
-        if vanish and all(isinstance(c, Fraction) for c in corrections):
-            g = eisenstein(basis.weight, shallow)
+        if vanish:
+            g = eisenstein(basis.weight, basis.precision)
+            corrections = [getattr(el.descriptor, "c", 0) for el in basis.elements]
             series = [g] + [s - c * g for s, c in zip(series, corrections)]
             start, a0 = 0, g.coefficient(0)
         rows = [(s.numerators[start:stop], s.denominator) for s in series]
@@ -706,10 +705,9 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     limit = target.precision
     common, columns, coords = 1, None, []
     if count:
-        element_precision = min(el.series.precision for el in basis.elements)
-        if element_precision < limit:
+        if basis.precision < limit:
             raise ValueError(
-                f"basis precision {element_precision} too small for expression: "
+                f"basis precision {basis.precision} too small for expression: "
                 f"rebuild with precision >= {limit}"
             )
         common, columns, matrix = basis._express_system

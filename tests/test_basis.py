@@ -25,11 +25,13 @@ from eisbasis import basis as basis_module
 from eisbasis.arith import dimension_oracle, sigma
 from eisbasis.basis import (
     BasisKind,
+    CuspCombo,
     Monomial,
     Product,
     Single,
     basis_descriptors,
 )
+from eisbasis.cli import basis_from_document, basis_to_document
 from helpers import (
     delta_series,
     det_leibniz,
@@ -193,8 +195,8 @@ class TestRatMatrix:
         assert m.determinant() == 0
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            rat_matrix([[1, 2, 3], [4, 5, 6]]).determinant()
+        with pytest.raises(ValueError, match="square"):
+            rat_matrix([[1, 2, 3], [4, 5, 6]])
 
     def test_rejects_floats_and_ragged_rows(self):
         with pytest.raises(TypeError):
@@ -392,8 +394,8 @@ class TestRatMatrix:
             rat_matrix([[1, 2], [3, 4]]).solve([1, 1])
 
     def test_solve_shape_checks(self):
-        with pytest.raises(ValueError):
-            rat_matrix([[1, 2]]).solve([1])
+        with pytest.raises(ValueError, match="square"):
+            rat_matrix([[1, 2]])
         with pytest.raises(ValueError):
             rat_matrix([[1, 0], [0, 1]]).solve([1])
 
@@ -465,6 +467,39 @@ class TestVerification:
         assert not report.confirmed
 
 
+class TestBasisConstruction:
+    """A Basis checks its kind, precision and element lengths when built."""
+
+    def test_precision_other_than_the_element_length_is_rejected(self):
+        with pytest.raises(ValueError, match="^element 0 has 16 coefficients, not 99$"):
+            Basis(12, BasisKind.NEW_M, 99, new_basis(12).elements)
+
+    def test_kind_by_name_becomes_its_basis_kind(self):
+        built = new_basis(12, 16)
+        basis = Basis(12, "new-m", 16, built.elements)
+        assert basis.kind is BasisKind.NEW_M
+        assert verify_report(basis) == verify_report(built)
+        assert verify_report(basis).confirmed
+        assert basis_to_document(basis) == basis_to_document(built)
+        assert basis_from_document(basis_to_document(basis)) == built
+
+    def test_cusp_kind_by_name_expresses_on_its_own_window(self):
+        elements = cusp_basis(12, 21).elements
+        assert express(elements[0].series, Basis(12, "new-s", 21, elements)) == [1]
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="newm"):
+            Basis(12, "newm", 16, new_basis(12, 16).elements)
+
+    def test_precision_below_the_window_is_rejected(self):
+        elements = new_basis(12).elements
+        short = tuple(BasisElement(el.descriptor, el.series.truncate(1)) for el in elements)
+        with pytest.raises(ValueError, match="^precision 1 below the window end 2$"):
+            Basis(12, BasisKind.NEW_M, 1, short)
+        with pytest.raises(ValueError, match="window"):
+            Basis(4, BasisKind.NEW_S, 0, ())
+
+
 def window_determinant(basis: Basis) -> Fraction:
     """The new-s determinant straight from its window a_1..a_n."""
     n = len(basis.elements)
@@ -524,12 +559,23 @@ class TestNewSThroughNewM:
         assert not report.confirmed
 
     def test_descriptor_other_than_a_cusp_combo_gives_the_direct_value(self):
+        # the identity holds for any c_i: a plain product reads c_i = 0, and
+        # every correction moved by one or replaced by the int 0 changes nothing
         basis = cusp_basis(60)
         el = basis.elements[1]
         plain = with_element(basis, 1, Product(el.descriptor.u, el.descriptor.v), el.series)
-        report = verify_report(plain)
-        assert report.determinant == window_determinant(basis) != 0
-        assert report.confirmed
+        tampered = [plain]
+        combos = [el.descriptor for el in basis.elements]
+        for correction in (lambda c: c + 1, lambda c: 0):
+            elements = tuple(
+                BasisElement(CuspCombo(d.u, d.v, correction(d.c)), member.series)
+                for d, member in zip(combos, basis.elements)
+            )
+            tampered.append(Basis(basis.weight, basis.kind, basis.precision, elements))
+        for other in tampered:
+            report = verify_report(other)
+            assert report.determinant == window_determinant(basis) != 0
+            assert report.confirmed
 
     def test_singular_control_after_new_m_at_240_reads_zero(self):
         basis = new_basis(240)

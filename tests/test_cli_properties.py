@@ -24,7 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from eisbasis import basis_for, dimension_data  # noqa: E402
+from eisbasis import Basis, basis_for, dimension_data  # noqa: E402
 from eisbasis.basis import BasisKind  # noqa: E402
 from eisbasis.cli import (  # noqa: E402
     basis_from_document,
@@ -161,6 +161,22 @@ def mutated_basis_documents(draw):
 def test_mutated_basis_document_is_rejected(case):
     with pytest.raises(ValueError):
         basis_from_document(case[1])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(range(4, 62, 2)),
+    st.sampled_from(list(BasisKind)),
+    st.integers(0, 10),
+    st.integers(-20, 20).filter(bool),
+)
+def test_a_built_basis_round_trips_and_no_other_precision_fits(weight, kind, extra, d):
+    basis = basis_for(weight, kind, dimension_data(weight).dim_cusp + 2 + extra)
+    assert basis_from_document(basis_to_document(basis)) == basis
+    # no element length pins the precision of an empty new-s basis
+    if basis.elements:
+        with pytest.raises(ValueError):
+            Basis(basis.weight, basis.kind, basis.precision + d, basis.elements)
 
 
 # --- series documents ------------------------------------------------------
