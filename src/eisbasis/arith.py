@@ -70,9 +70,9 @@ class DimensionData:
 
 
 def _check_weight(weight: int) -> None:
-    if weight == 2:
+    if isinstance(weight, int) and weight == 2:
         raise ValueError("weight 2 rejected: the weight-2 Eisenstein series is only quasi-modular")
-    if weight % 2 != 0 or weight < 4:
+    if not isinstance(weight, int) or weight % 2 != 0 or weight < 4:
         raise ValueError(f"weight must be an even integer >= 4, got {weight}")
 
 

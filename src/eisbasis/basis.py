@@ -56,7 +56,7 @@ from operator import mul
 
 from .arith import _check_weight, bernoulli, dimension_data
 from .eisenstein import eisenstein, eisenstein_product
-from .qseries import QSeries, _numerators
+from .qseries import QSeries, _as_fraction, _numerators
 
 
 class BasisKind(str, Enum):
@@ -119,8 +119,14 @@ class CuspCombo:
         return f"G_{self.u}*G_{self.v} + {self.c}*{tail}"
 
     def realize(self, precision: int) -> QSeries:
+        """The corrected product, checked to have an exactly vanishing
+        constant term; a nonzero one is an arithmetic bug, not bad input."""
         product = eisenstein_product(self.u, self.v, precision)
-        return product + self.c * eisenstein(self.weight, precision)
+        series = product + self.c * eisenstein(self.weight, precision)
+        if series.numerators[0]:
+            a0 = series.coefficient(0)
+            raise ArithmeticError(f"constant term failed to cancel for {self.label()}: {a0}")
+        return series
 
 
 @dataclass(frozen=True)
@@ -155,20 +161,14 @@ _power_tables: dict[tuple[int, int], dict[int, QSeries]] = {}
 
 
 def _eisenstein_power(weight: int, exponent: int, precision: int) -> QSeries:
-    """G_weight^exponent from its shared power table.  A missing power is
-    filled upwards from the highest one known, one multiply per power.
-    Entries are keyed by exponent, so a concurrent fill is idempotent: at
-    worst two callers repeat a multiply and store the same value."""
-    if exponent < 1:
-        raise ValueError(f"power exponent must be a positive integer, got {exponent}")
-    table = _power_tables.setdefault((weight, precision), {})
-    if not table:
-        table[1] = eisenstein(weight, precision)
-    known = exponent
-    while known not in table:
-        known -= 1
-    for e in range(known, exponent):
-        table[e + 1] = table[e] * table[1]
+    """G_weight^exponent (exponent >= 1) from its shared power table, each
+    missing power one multiply from the one below.  Entries are keyed by
+    exponent, so a concurrent fill is idempotent: at worst two callers
+    repeat a multiply and store the same value."""
+    table = _power_tables.setdefault((weight, precision), {1: eisenstein(weight, precision)})
+    for e in range(2, exponent + 1):
+        if e not in table:
+            table[e] = table[e - 1] * table[1]
     return table[exponent]
 
 
@@ -192,6 +192,10 @@ class Basis:
         # a kind may be given by name; every reader of a basis relies on the
         # window fitting in `precision` and on each element filling it
         object.__setattr__(self, "kind", BasisKind(self.kind))
+        # an empty new-s basis has no element to pin its weight
+        _check_weight(self.weight)
+        if not isinstance(self.precision, int):
+            raise ValueError(f"basis precision must be an integer, got {self.precision}")
         if self.precision < self.window.stop:
             raise ValueError(f"precision {self.precision} below the window end {self.window.stop}")
         for index, el in enumerate(self.elements):
@@ -311,17 +315,9 @@ def cusp_correction(u: int, v: int) -> Fraction:
 
 
 def cusp_basis(weight: int, precision: int | None = None) -> Basis:
-    """The corrected-product basis for the weight-2k cusp forms.
-
-    Every element's constant term is checked to vanish exactly once it is
-    built; a nonzero value would be an arithmetic bug, not bad input.
-    """
-    basis = _realize(weight, BasisKind.NEW_S, precision)
-    for el in basis.elements:
-        if el.series.numerators[0]:
-            label, a0 = el.descriptor.label(), el.series.coefficient(0)
-            raise ArithmeticError(f"constant term failed to cancel for {label}: {a0}")
-    return basis
+    """The corrected-product basis for the weight-2k cusp forms; each
+    element checks that its constant term cancels (CuspCombo.realize)."""
+    return _realize(weight, BasisKind.NEW_S, precision)
 
 
 def classical_basis(weight: int, precision: int | None = None) -> Basis:
@@ -399,11 +395,9 @@ class RatMatrix:
         n = self.rows
         if len(rhs) != n:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
-        if any(isinstance(b, float) for b in rhs):
-            raise TypeError("float right-hand sides are not allowed; use Fraction or int")
         scales, targets = [], []
         for (_, den), b in zip(self._rows, rhs):
-            b = Fraction(b)
+            b = _as_fraction(b)
             common = lcm(den, b.denominator)
             scales.append(common // den)
             targets.append(b.numerator * (common // b.denominator))

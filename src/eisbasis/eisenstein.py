@@ -13,21 +13,22 @@ from .arith import _check_weight, sigma
 from .qseries import QSeries
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eisenstein(weight: int, precision: int) -> QSeries:
     """The weight-`weight` Eisenstein series, truncated to `precision` terms.
 
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
     term -B_weight/(2*weight) by the same divisor-sum convention.  Results
-    are cached; the returned series is immutable and safe to share.
+    are cached, keyed by type too, so a 16.0 is never answered by the 16
+    entry; the returned series is immutable and safe to share.
     """
     _check_weight(weight)
-    if precision < 1:
-        raise ValueError(f"precision must be positive, got {precision}")
+    if not isinstance(precision, int) or precision < 1:
+        raise ValueError(f"precision must be a positive integer, got {precision}")
     return QSeries(weight, tuple(sigma(weight - 1, m) for m in range(precision)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eisenstein_product(u: int, v: int, precision: int) -> QSeries:
     """The product G_u * G_v as a weight-(u+v) series of the given precision.
 

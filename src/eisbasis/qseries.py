@@ -27,10 +27,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from .arith import _check_weight
+
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction or int")
+    """The one gate for exact rationals: an int or a Fraction, as a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{type(value).__name__} values are not allowed; use Fraction or int")
     return Fraction(value)
 
 
@@ -97,8 +100,7 @@ class QSeries:
     denominator: int
 
     def __init__(self, weight: int, coeffs):
-        if weight % 2 != 0 or weight < 4:
-            raise ValueError(f"series weight must be an even integer >= 4, got {weight}")
+        _check_weight(weight)
         fractions = [_as_fraction(c) for c in coeffs]
         if not fractions:
             raise ValueError("a series needs at least one coefficient")

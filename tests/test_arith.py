@@ -107,7 +107,7 @@ class TestDimensions:
         zero = {w for w in range(4, 402, 2) if dimension_data(w).dim_cusp == 0}
         assert zero == {4, 6, 8, 10, 14}
 
-    @pytest.mark.parametrize("bad", [2, 3, 0, -4, 7])
+    @pytest.mark.parametrize("bad", [2, 3, 0, -4, 7, 36.0])
     def test_rejects_invalid_weights(self, bad):
         with pytest.raises(ValueError):
             dimension_data(bad)

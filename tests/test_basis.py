@@ -100,6 +100,11 @@ class TestCuspCorrections:
             for el in cusp_basis(w).elements:
                 assert el.series.coefficient(0) == 0
 
+    def test_a_constant_term_that_does_not_cancel_is_an_arithmetic_error(self):
+        combo = CuspCombo(4, 8, cusp_correction(4, 8) + 1)
+        with pytest.raises(ArithmeticError, match=r"^constant term failed to cancel for G_4\*G_8 "):
+            combo.realize(16)
+
     def test_empty_at_weight_4(self):
         basis = cusp_basis(4)
         assert basis.elements == ()
@@ -110,6 +115,25 @@ class TestCuspCorrections:
         for build in (new_basis, cusp_basis, classical_basis):
             with pytest.raises(ValueError, match="^precision 3 too small for weight 36: need >= 5$"):
                 build(36, 3)
+
+    @pytest.mark.parametrize(
+        "build, weight, precision",
+        [
+            (classical_basis, 24, 16),
+            (new_basis, 12, 16),
+            (cusp_basis, 24, 16),
+            (classical_basis, 24, 23),
+        ],
+    )
+    def test_float_precision_is_rejected_whether_or_not_its_int_basis_was_built(
+        self, build, weight, precision
+    ):
+        message = f"^precision must be a positive integer, got {float(precision)}$"
+        with pytest.raises(ValueError, match=message):
+            build(weight, float(precision))
+        build(weight, precision)
+        with pytest.raises(ValueError, match=message):
+            build(weight, float(precision))
 
     def test_basis_for_calls_each_builder_by_its_module_name(self, monkeypatch):
         # the benchmark's tracer records builds by rebinding these names
@@ -288,6 +312,10 @@ class TestRatMatrix:
                 if rat_matrix(rows).determinant() == 0:
                     continue
                 assert rat_matrix(rows).solve(rhs) == gauss_solve(rows, rhs)
+
+    def test_solve_rejects_string_rhs(self):
+        with pytest.raises(TypeError, match="^str values are not allowed; use Fraction or int$"):
+            rat_matrix([[2, 0], [0, 1]]).solve(["1/2", 3])
 
     def test_solve_rejects_float_rhs(self):
         with pytest.raises(TypeError):
@@ -486,6 +514,18 @@ class TestBasisConstruction:
     def test_cusp_kind_by_name_expresses_on_its_own_window(self):
         elements = cusp_basis(12, 21).elements
         assert express(elements[0].series, Basis(12, "new-s", 21, elements)) == [1]
+
+    def test_weight_that_is_not_an_even_int_of_at_least_4_is_rejected(self):
+        elements = new_basis(12, 16).elements
+        with pytest.raises(ValueError, match="^weight must be an even integer >= 4, got 12.0$"):
+            Basis(12.0, "new-m", 16, elements)
+        # an empty new-s basis has no element to pin its weight
+        with pytest.raises(ValueError, match="^weight must be an even integer >= 4, got 13$"):
+            Basis(13, "new-s", 16, ())
+
+    def test_precision_that_is_not_an_int_is_rejected(self):
+        with pytest.raises(ValueError, match="^basis precision must be an integer, got 16.0$"):
+            Basis(12, "new-m", 16.0, new_basis(12, 16).elements)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="newm"):

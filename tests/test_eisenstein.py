@@ -36,6 +36,21 @@ def test_rejects_bad_precision():
         eisenstein(4, 0)
 
 
+@pytest.mark.parametrize(
+    "series, args",
+    [(eisenstein, (4, 3)), (eisenstein_product, (4, 8, 3)), (eisenstein, (6, 1005))],
+)
+def test_float_precision_is_rejected_whether_or_not_its_int_is_cached(series, args):
+    # the caches are typed, so the int entry never answers a float key
+    *head, precision = args
+    message = f"^precision must be a positive integer, got {float(precision)}$"
+    with pytest.raises(ValueError, match=message):
+        series(*head, float(precision))
+    series(*args)
+    with pytest.raises(ValueError, match=message):
+        series(*head, float(precision))
+
+
 def test_repeated_calls_agree():
     assert eisenstein(4, 5) == eisenstein(4, 5)
     assert eisenstein(4, 8).truncate(5) == eisenstein(4, 5)

@@ -1,4 +1,11 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import eisbasis
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the names the README documents and the benchmark reads
 PUBLIC = [
@@ -43,3 +50,14 @@ def test_exports_exactly_the_documented_names():
         assert getattr(eisbasis, name) is not None, name
     assert set(BENCHMARK_READS) <= set(eisbasis.__all__)
 
+
+def test_readme_example_prints_what_its_comments_say():
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert expected, "the README example prints nothing"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(block, str(README), "exec"), {})
+    assert stdout.getvalue().splitlines() == expected

@@ -17,7 +17,7 @@ def random_series(rng, weight, precision):
 
 class TestConstruction:
     def test_rejects_bad_weight(self):
-        for weight in (2, 3, 0, -4):
+        for weight in (2, 3, 0, -4, 12.0):
             with pytest.raises(ValueError):
                 QSeries(weight, (Fraction(1),))
 
@@ -28,6 +28,11 @@ class TestConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             QSeries(4, (0.5, 1))
+
+    def test_rejects_strings(self):
+        # only ints and Fractions are exact rationals; a string is not parsed
+        with pytest.raises(TypeError, match="^str values are not allowed; use Fraction or int$"):
+            QSeries(12, ["1/3"])
 
     def test_accepts_ints_and_normalizes(self):
         s = QSeries(4, (1, 2))
