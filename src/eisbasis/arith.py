@@ -3,9 +3,10 @@ and the dimension counts for level-one modular and cusp forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+
+from ._record import Record
 
 # Even-index Bernoulli cache, filled in ascending order.  Entries are
 # immutable and keyed by index, so a concurrent fill is idempotent: at
@@ -59,14 +60,18 @@ def sigma(r: int, m: int) -> Fraction:
     return Fraction(total)
 
 
-@dataclass(frozen=True)
-class DimensionData:
+class DimensionData(Record):
     """Dimensions of the weight-`weight` spaces: `dim_cusp` counts cusp
     forms, `dim_modular` = dim_cusp + 1 counts all modular forms."""
 
     weight: int
     dim_cusp: int
     dim_modular: int
+
+
+def _is_int(value) -> bool:
+    """Whether `value` is an int and not a bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_weight(weight: int) -> None:

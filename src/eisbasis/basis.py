@@ -47,14 +47,14 @@ reconstruction exactly against every supplied coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .arith import _check_weight, bernoulli, dimension_data
+from ._record import Record
+from .arith import _check_weight, _is_int, bernoulli, dimension_data
 from .eisenstein import eisenstein, eisenstein_product
 from .qseries import QSeries, _as_fraction, _numerators
 
@@ -71,8 +71,7 @@ class BasisKind(str, Enum):
         return dims.dim_cusp if self is BasisKind.NEW_S else dims.dim_modular
 
 
-@dataclass(frozen=True)
-class Single:
+class Single(Record):
     """The Eisenstein series G_weight on its own."""
 
     weight: int
@@ -84,8 +83,7 @@ class Single:
         return eisenstein(self.weight, precision)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     """The product G_u * G_v."""
 
     u: int
@@ -98,8 +96,7 @@ class Product:
         return eisenstein_product(self.u, self.v, precision)
 
 
-@dataclass(frozen=True)
-class CuspCombo:
+class CuspCombo(Record):
     """G_u * G_v + c * G_{u+v}, with c the exact Bernoulli-ratio correction
     that kills the constant term.  c is stored signed; rendering shows
     "- |c|" when c is negative."""
@@ -129,8 +126,7 @@ class CuspCombo:
         return series
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """The classical monomial G_4^alpha * G_6^beta."""
 
     alpha: int
@@ -175,27 +171,25 @@ def _eisenstein_power(weight: int, exponent: int, precision: int) -> QSeries:
 Descriptor = Single | Product | CuspCombo | Monomial
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     descriptor: Descriptor
     series: QSeries
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     weight: int
     kind: BasisKind
     precision: int
     elements: tuple[BasisElement, ...]
 
-    def __post_init__(self):
+    def __init__(self, weight: int, kind: BasisKind | str, precision: int, elements):
         # a kind may be given by name; every reader of a basis relies on the
         # window fitting in `precision` and on each element filling it
-        object.__setattr__(self, "kind", BasisKind(self.kind))
+        super().__init__(weight, BasisKind(kind), precision, elements)
         # an empty new-s basis has no element to pin its weight
-        _check_weight(self.weight)
-        if not isinstance(self.precision, int):
-            raise ValueError(f"basis precision must be an integer, got {self.precision}")
+        _check_weight(weight)
+        if not _is_int(precision):
+            raise ValueError(f"basis precision must be an integer, got {precision}")
         if self.precision < self.window.stop:
             raise ValueError(f"precision {self.precision} below the window end {self.window.stop}")
         for index, el in enumerate(self.elements):
@@ -251,9 +245,11 @@ def _precision_floor(weight: int) -> int:
 
 def _checked_precision(weight: int, precision: int | None) -> int:
     """`precision`, or default_precision(weight) when it is None.  A
-    precision below the floor is rejected."""
+    precision that is not an int, or is below the floor, is rejected."""
     if precision is None:
         return default_precision(weight)
+    if not _is_int(precision):
+        raise ValueError(f"precision must be a positive integer, got {precision}")
     floor = _precision_floor(weight)
     if precision < floor:
         raise ValueError(f"precision {precision} too small for weight {weight}: need >= {floor}")
@@ -593,8 +589,7 @@ def _reconstruct_vector(residues: list[int], m: int) -> list[Fraction] | None:
     return x
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of the exact basis certification for one weight and kind.
 
     ``determinant`` is None only for the vacuous empty cusp basis.

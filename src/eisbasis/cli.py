@@ -15,11 +15,10 @@ import csv
 import json
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .arith import dimension_data, dimension_oracle
+from .arith import _check_weight, _is_int, dimension_data, dimension_oracle
 from .basis import (
     Basis,
     BasisKind,
@@ -35,7 +34,7 @@ from .basis import (
     express,
     verify_basis,
 )
-from .qseries import QSeries
+from .qseries import QSeries, _series
 
 __all__ = [
     "format_rational",
@@ -64,6 +63,12 @@ def parse_rational(text: str) -> Fraction:
     terms, and nothing after the digits, not even the trailing newline
     that "$" lets through.
     """
+    return Fraction(*_rational_parts(text))
+
+
+def _rational_parts(text: str) -> tuple[int, int]:
+    """The (numerator, denominator) of a canonical rational string, in
+    lowest terms with denominator > 0, by parse_rational's rules."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     normalized = text.replace("\u2212", "-")
@@ -79,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
         or gcd(numerator, denominator) != 1
     ):
         raise ValueError(f"non-canonical rational string {text!r}")
-    return Fraction(-numerator if sign else numerator, denominator)
+    return (-numerator if sign else numerator), denominator
 
 
 def series_to_document(series: QSeries) -> dict:
@@ -92,7 +97,7 @@ def series_to_document(series: QSeries) -> dict:
 
 def _int_field(obj: dict, key: str) -> int:
     value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"field {key!r} must be an integer, got {value!r}")
     return value
 
@@ -117,7 +122,13 @@ def series_from_document(obj) -> QSeries:
         raise ValueError(
             f"document precision {precision} does not match {len(coefficients)} coefficients"
         )
-    return QSeries(weight, tuple(parse_rational(c) for c in coefficients))
+    # integers straight into the series: no Fraction is built and taken apart
+    parts = [_rational_parts(c) for c in coefficients]
+    _check_weight(weight)
+    if not parts:
+        raise ValueError("a series needs at least one coefficient")
+    den = lcm(*[d for _, d in parts])
+    return _series(weight, [n * (den // d) for n, d in parts], den)
 
 
 # The descriptor format: each descriptor class has a document tag and the
@@ -135,8 +146,8 @@ _DESCRIPTORS = {
 def _descriptor_document(descriptor) -> dict:
     tag, keys = _DESCRIPTORS[type(descriptor)]
     doc = {"type": tag}
-    for key, field in zip(keys, fields(descriptor)):
-        value = getattr(descriptor, field.name)
+    for key, name in zip(keys, descriptor._fields):
+        value = getattr(descriptor, name)
         doc[key] = format_rational(value) if key == "c" else value
     return doc
 

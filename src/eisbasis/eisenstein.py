@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import _check_weight, sigma
+from .arith import _check_weight, _is_int, sigma
 from .qseries import QSeries
 
 
@@ -23,7 +23,7 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     entry; the returned series is immutable and safe to share.
     """
     _check_weight(weight)
-    if not isinstance(precision, int) or precision < 1:
+    if not _is_int(precision) or precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
     return QSeries(weight, tuple(sigma(weight - 1, m) for m in range(precision)))
 

@@ -22,11 +22,11 @@ denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from ._record import Record
 from .arith import _check_weight
 
 
@@ -85,8 +85,7 @@ def _series(weight: int, numerators, denominator: int) -> QSeries:
     return series
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class QSeries:
+class QSeries(Record):
     """A q-expansion a_0 + a_1 q + ... + a_{N-1} q^{N-1}, truncated at N terms.
 
     Instances are immutable; every operation returns a new series.  The

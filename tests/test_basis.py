@@ -117,23 +117,25 @@ class TestCuspCorrections:
                 build(36, 3)
 
     @pytest.mark.parametrize(
-        "build, weight, precision",
+        "build, weight, precision, bad",
         [
-            (classical_basis, 24, 16),
-            (new_basis, 12, 16),
-            (cusp_basis, 24, 16),
-            (classical_basis, 24, 23),
+            (classical_basis, 24, 16, 16.0),
+            (new_basis, 12, 16, 16.0),
+            (cusp_basis, 24, 16, 16.0),
+            (classical_basis, 24, 23, 23.0),
+            # the type is checked before the floor comparison could raise TypeError
+            (new_basis, 12, 16, "16"),
         ],
     )
-    def test_float_precision_is_rejected_whether_or_not_its_int_basis_was_built(
-        self, build, weight, precision
+    def test_precision_that_is_not_an_int_is_rejected_whether_or_not_its_int_basis_was_built(
+        self, build, weight, precision, bad
     ):
-        message = f"^precision must be a positive integer, got {float(precision)}$"
+        message = f"^precision must be a positive integer, got {bad}$"
         with pytest.raises(ValueError, match=message):
-            build(weight, float(precision))
+            build(weight, bad)
         build(weight, precision)
         with pytest.raises(ValueError, match=message):
-            build(weight, float(precision))
+            build(weight, bad)
 
     def test_basis_for_calls_each_builder_by_its_module_name(self, monkeypatch):
         # the benchmark's tracer records builds by rebinding these names
@@ -523,9 +525,12 @@ class TestBasisConstruction:
         with pytest.raises(ValueError, match="^weight must be an even integer >= 4, got 13$"):
             Basis(13, "new-s", 16, ())
 
-    def test_precision_that_is_not_an_int_is_rejected(self):
-        with pytest.raises(ValueError, match="^basis precision must be an integer, got 16.0$"):
-            Basis(12, "new-m", 16.0, new_basis(12, 16).elements)
+    # a bool is an int subclass, and True reaches the end of an empty new-s window
+    @pytest.mark.parametrize("weight, kind, precision", [(12, "new-m", 16.0), (4, "new-s", True)])
+    def test_precision_that_is_not_an_int_is_rejected(self, weight, kind, precision):
+        elements = basis_for(weight, kind, 16).elements
+        with pytest.raises(ValueError, match=f"^basis precision must be an integer, got {precision}$"):
+            Basis(weight, kind, precision, elements)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="newm"):

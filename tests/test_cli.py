@@ -13,7 +13,7 @@ import pytest
 import eisbasis.arith
 import eisbasis.basis
 import eisbasis.cli
-from eisbasis import basis_for, eisenstein
+from eisbasis import QSeries, basis_for, eisenstein
 from eisbasis.basis import BasisKind
 from eisbasis.cli import (
     basis_from_document,
@@ -65,9 +65,34 @@ class TestSeriesDocuments:
         doc = series_to_document(series)
         assert series_from_document(json.loads(json.dumps(doc))) == series
 
+    def test_mixed_denominators_load_as_the_series_of_their_fractions(self):
+        texts = ["1/2", "-1/3", "0", "5", "\u22127/12"]
+        doc = {"weight": 4, "precision": len(texts), "coefficients": texts}
+        series = QSeries(4, [Fraction(1, 2), Fraction(-1, 3), 0, 5, Fraction(-7, 12)])
+        assert series_from_document(doc) == series
+        assert series.denominator == 12
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             series_from_document({"weight": 4, "precision": 3, "coefficients": ["1"]})
+
+    @pytest.mark.parametrize(
+        "weight, coefficients, message",
+        [
+            # a malformed coefficient is reported before the weight
+            (13, ["1", "x"], "^malformed rational string 'x'$"),
+            (13, ["2/4"], "^non-canonical rational string '2/4'$"),
+            (13, [], "^weight must be an even integer >= 4, got 13$"),
+            (2, [], "^weight 2 rejected"),
+            (12, [], "^a series needs at least one coefficient$"),
+        ],
+    )
+    def test_errors_come_coefficients_first_then_weight_then_length(
+        self, weight, coefficients, message
+    ):
+        doc = {"weight": weight, "precision": len(coefficients), "coefficients": coefficients}
+        with pytest.raises(ValueError, match=message):
+            series_from_document(doc)
 
     def test_rejects_extra_keys_and_bad_types(self):
         with pytest.raises(ValueError):

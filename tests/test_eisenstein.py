@@ -31,9 +31,11 @@ def test_rejects_bad_weights(bad):
         eisenstein(bad, 5)
 
 
-def test_rejects_bad_precision():
-    with pytest.raises(ValueError):
-        eisenstein(4, 0)
+@pytest.mark.parametrize("bad", [0, True])
+def test_rejects_bad_precision(bad):
+    # a bool is an int subclass, but True is not a series length
+    with pytest.raises(ValueError, match=f"^precision must be a positive integer, got {bad}$"):
+        eisenstein(4, bad)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import eisbasis
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # the names the README documents and the benchmark reads
 PUBLIC = [
@@ -61,3 +64,21 @@ def test_readme_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(stdout):
         exec(compile(block, str(README), "exec"), {})
     assert stdout.getvalue().splitlines() == expected
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # every command pays for the import; pytest itself imports both modules,
+    # so the check runs in a fresh isolated interpreter
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import eisbasis; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = result.stdout.split()
+    assert "eisbasis.basis" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
