@@ -37,9 +37,10 @@ elimination.  Unlike the series caches the memo is bounded, and a hit
 needs an identical integer matrix, so it never changes a determinant.
 
 Expressing a form in coordinates solves the leading square window by
-p-adic (Dixon) lifting.  The basis keeps its window with its inverse mod
-one 61-bit prime from the first express() on, so each form costs O(n^2)
-per base-p digit of its coordinates, read back by rational reconstruction.
+p-adic (Dixon) lifting.  From the first express() on, the basis keeps its
+window inverted modulo 2^61 - 1, or the next odd modulus below it at which
+every pivot is a unit, so each form costs O(n^2) per digit of its
+coordinates in that base, read back by rational reconstruction.
 That method may be wrong, so it is never trusted: the solve returns only an
 answer that satisfies its system exactly, and express() then checks the
 reconstruction exactly against every supplied coefficient.
@@ -188,6 +189,12 @@ class Basis(Record):
         super().__init__(weight, BasisKind(kind), precision, elements)
         # an empty new-s basis has no element to pin its weight
         _check_weight(weight)
+        expected = self.kind.dimension(weight)
+        if len(elements) != expected:
+            raise ValueError(
+                f"a {self.kind.value} basis of weight {weight} has {expected} elements, "
+                f"but {len(elements)} were given"
+            )
         if not _is_int(precision):
             raise ValueError(f"basis precision must be an integer, got {precision}")
         if self.precision < self.window.stop:
@@ -379,12 +386,13 @@ class RatMatrix:
         """Solve self * x = rhs exactly, by p-adic lifting certified exactly.
 
         Row i of [self | rhs] is scaled by s_i to integers: diag(s) N x = t.
-        With N inverted once mod a 61-bit prime p (see _factor), each base-p
-        digit y of x costs O(n^2): y solves the system mod p, and
-        (t - diag(s) N y) / p is the next right-hand side (Dixon lifting).
+        With N inverted once modulo m = 2^61 - 1, or the next odd modulus
+        below it at which every pivot is a unit (see _factor), each base-m
+        digit y of x costs O(n^2): y solves the system mod m, and
+        (t - diag(s) N y) / m is the next right-hand side (Dixon lifting).
         x is read back by rational reconstruction after geometrically more
         digits, and returned only if it satisfies every scaled row exactly.
-        Past p^k > 2 * (prod_i (s_i |N_i| + |t_i|))^2, twice a squared
+        Past m^k > 2 * (prod_i (s_i |N_i| + |t_i|))^2, twice a squared
         Hadamard bound on Cramer's rule, reconstruction cannot fail for a
         nonsingular matrix, so a candidate failing there is ArithmeticError.
         """
@@ -397,16 +405,16 @@ class RatMatrix:
             common = lcm(den, b.denominator)
             scales.append(common // den)
             targets.append(b.numerator * (common // b.denominator))
-        p, inverse = self._factor(scales)
+        m, inverse = self._factor(scales)
         bound = prod(s * a + abs(t) for s, a, t in zip(scales, self._norms, targets))
         limit = 2 * bound * bound
-        unscale = [pow(s, -1, p) for s in scales]
+        unscale = [pow(s, -1, m) for s in scales]
         residual, residues, modulus, digits, next_try = targets, [0] * n, 1, 0, 1
         while True:
-            v = [r % p * u for r, u in zip(residual, unscale)]
-            y = [sum(map(mul, row, v)) % p for row in inverse]
+            v = [r % m * u for r, u in zip(residual, unscale)]
+            y = [sum(map(mul, row, v)) % m for row in inverse]
             residues = [r + modulus * d for r, d in zip(residues, y)]
-            modulus *= p
+            modulus *= m
             digits += 1
             past_bound = modulus > limit
             # a failed reconstruction costs a Euclidean pass over the whole
@@ -427,7 +435,7 @@ class RatMatrix:
                     "modular solve found no exact solution within the Hadamard bound"
                 )
             rows = zip(residual, scales, self._rows)
-            residual = [(r - s * sum(map(mul, a, y))) // p for r, s, (a, _) in rows]
+            residual = [(r - s * sum(map(mul, a, y))) // m for r, s, (a, _) in rows]
 
     @cached_property
     def _norms(self) -> list[int]:
@@ -435,21 +443,24 @@ class RatMatrix:
         return [isqrt(sum(v * v for v in numerators)) + 1 for numerators, _ in self._rows]
 
     def _factor(self, scales: list[int]) -> tuple[int, list[list[int]]]:
-        """(p, N^-1 mod p) at the first working prime p that divides none of
-        the row scales and at which the numerator matrix N is invertible.
-        The first one found is kept as long as the matrix and reused while
-        its prime divides no scale.  Each prime where N is singular asks the
-        exact determinant (a _bareiss memo hit after the first) if it is 0.
+        """(m, N^-1 mod m) for the numerator matrix N, at m = 2^61 - 1 (a
+        prime) or the next odd modulus below it that is coprime to every row
+        scale and at which every pivot of N is a unit.  m need not be prime:
+        lifting needs only N and the scales invertible mod m, and rational
+        reconstruction works for any m.  The first pair found is kept as long
+        as the matrix and reused while its modulus is coprime to every scale.
+        Each modulus that fails for N asks the exact determinant (a _bareiss
+        memo hit after the first) if it is 0.
         """
-        if self._kept and all(s % self._kept[0] for s in scales):
+        if self._kept and all(gcd(s, self._kept[0]) == 1 for s in scales):
             return self._kept
-        for p in _primes():
-            if any(s % p == 0 for s in scales):
+        for m in range((1 << 61) - 1, 1, -2):
+            if any(gcd(s, m) != 1 for s in scales):
                 continue
-            inverse = _inverse_mod([numerators for numerators, _ in self._rows], p)
+            inverse = _inverse_mod([numerators for numerators, _ in self._rows], m)
             if inverse is not None:
-                self._kept = self._kept or (p, inverse)
-                return p, inverse
+                self._kept = self._kept or (m, inverse)
+                return m, inverse
             if self.determinant() == 0:
                 raise ValueError("matrix is singular")
 
@@ -492,57 +503,25 @@ def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], prod(den for _, den in rows))
 
 
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37; with these twelve witnesses it is exact
-    for every n below 3.3 * 10^24, far above the 61-bit primes used here.
-    Trial division by the witnesses first rejects most composites cheaply."""
-    if any(n % a == 0 for a in _WITNESSES):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """The primes below 2^61 in decreasing order, from 2^61 - 1 down."""
-    candidate = (1 << 61) + 1
-    while True:
-        candidate -= 2
-        if _is_prime(candidate):
-            yield candidate
-
-
-def _inverse_mod(rows: list[tuple[int, ...]], p: int) -> list[list[int]] | None:
-    """The inverse modulo p of the square integer matrix `rows`, by
-    Gauss-Jordan elimination on [rows | I], or None when it is singular
-    mod p."""
+def _inverse_mod(rows: list[tuple[int, ...]], m: int) -> list[list[int]] | None:
+    """The inverse modulo m of the square integer matrix `rows`, by
+    Gauss-Jordan elimination on [rows | I] with unit pivots, or None when a
+    column has no unit left to pivot on.  That includes every m at which
+    the matrix is singular; a composite m may also fail for an invertible
+    one."""
     n = len(rows)
-    a = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    a = [[v % m for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        pivot = next((i for i in range(k, n) if gcd(a[i][k], m) == 1), None)
         if pivot is None:
             return None
         a[k], a[pivot] = a[pivot], a[k]
-        inverse = pow(a[k][k], -1, p)
-        top = a[k] = [v * inverse % p for v in a[k]]
+        inverse = pow(a[k][k], -1, m)
+        top = a[k] = [v * inverse % m for v in a[k]]
         for i, row in enumerate(a):
             factor = row[k]
             if factor and i != k:
-                a[i] = [(v - factor * t) % p for v, t in zip(row, top)]
+                a[i] = [(v - factor * t) % m for v, t in zip(row, top)]
     return [row[n:] for row in a]
 
 
@@ -606,11 +585,7 @@ class VerificationReport(Record):
 
     @property
     def confirmed(self) -> bool:
-        return (
-            self.element_count == self.expected_count
-            and self.determinant != 0
-            and self.constant_terms_vanish is not False
-        )
+        return self.determinant != 0 and self.constant_terms_vanish is not False
 
 
 def verify_report(basis: Basis) -> VerificationReport:

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from ._record import Record
-from .arith import _check_weight
+from .arith import _check_weight, _is_int
 
 
 def _as_fraction(value) -> Fraction:
@@ -122,12 +122,12 @@ class QSeries(Record):
         return tuple([Fraction(v, den) for v in self.numerators])
 
     def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.numerators):
+        if not _is_int(n) or not 0 <= n < len(self.numerators):
             raise ValueError(f"coefficient index {n} outside precision {len(self.numerators)}")
         return Fraction(self.numerators[n], self.denominator)
 
     def truncate(self, precision: int) -> QSeries:
-        if not 1 <= precision <= len(self.numerators):
+        if not _is_int(precision) or not 1 <= precision <= len(self.numerators):
             raise ValueError(f"cannot truncate precision {len(self.numerators)} to {precision}")
         return _series(self.weight, self.numerators[:precision], self.denominator)
 
@@ -170,7 +170,7 @@ class QSeries(Record):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> QSeries:
-        if not isinstance(exponent, int) or exponent < 1:
+        if not _is_int(exponent) or exponent < 1:
             raise ValueError(f"series exponent must be a positive integer, got {exponent}")
         result = self
         for _ in range(exponent - 1):

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the library's own computation paths:
 Bernoulli numbers come from the full recurrence over all indices, divisor
 sums from exhaustive enumeration, series products from the schoolbook
-convolution sum, primes from a Fermat test, determinants from Leibniz
-expansion, linear solves from Gaussian elimination over Fractions, and the
-discriminant cusp form from the unit-normalized series combination.  The
+convolution sum, determinants from Leibniz expansion, linear solves from
+Gaussian elimination over Fractions, and the discriminant cusp form from
+the unit-normalized series combination.  The
 Hecke operator T_2 acts on coefficients directly; its traces take express()
 as given and check that the series it is fed are modular forms at all.
 """
@@ -96,12 +96,6 @@ def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:
             for i in range(n)
         ),
     )
-
-
-def fermat_prime(n: int) -> bool:
-    """Fermat test to the first ten prime bases; for n > 29 a composite
-    passes only if it is a pseudoprime to all ten."""
-    return all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
 
 
 def det_leibniz(rows: list[list[Fraction]]) -> Fraction:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from math import gcd, prod
 
 import pytest
 
@@ -35,15 +35,14 @@ from eisbasis.cli import basis_from_document, basis_to_document
 from helpers import (
     delta_series,
     det_leibniz,
-    fermat_prime,
     gauss_solve,
     hecke_t2,
     rat_matrix,
     t2_traces,
 )
 
-# the first prime the modular solve works with
-FIRST_PRIME = next(basis_module._primes())
+# the first modulus the modular solve works with, a prime
+FIRST_PRIME = 2**61 - 1
 
 
 def counted_calls(monkeypatch, name):
@@ -325,14 +324,40 @@ class TestRatMatrix:
         with pytest.raises(TypeError):
             rat_matrix([[2, 0], [0, 1]]).solve([Fraction(1, 2), 1.0])
 
-    def test_prime_sequence_is_every_prime_below_2_to_61_in_order(self):
-        # the search lists the primes from 2^61 - 1 down with none skipped
-        primes = list(islice(basis_module._primes(), 136))
-        assert primes[0] == FIRST_PRIME == 2**61 - 1
-        assert all(fermat_prime(p) for p in primes)
-        for high, low in zip(primes, primes[1:]):
-            assert low < high
-            assert not any(fermat_prime(c) for c in range(low + 2, high, 2))
+    def test_moduli_start_at_2_to_61_minus_1_and_step_by_minus_2(self, monkeypatch):
+        # the matrix is singular modulo each of the first four moduli, three
+        # of them composite, and is inverted at the fifth, also composite
+        moduli = [FIRST_PRIME - 2 * i for i in range(5)]
+        product = prod(moduli[:4])
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        assert rat_matrix([[product, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, product), 1]
+        assert [m for _, m in factorisations] == moduli
+
+    def test_solve_at_an_invertible_modulus_with_no_unit_pivot(self, monkeypatch):
+        # 2^61 - 3 = 29 * q, and b = q / 29 mod 2^61 - 1, so the matrix is
+        # singular mod 2^61 - 1; mod 2^61 - 3 its determinant is a unit but
+        # neither 29 nor q is, so the solve moves on to 2^61 - 5
+        q = (FIRST_PRIME - 2) // 29
+        rows = [[29, 1], [q, q * pow(29, -1, FIRST_PRIME) % FIRST_PRIME]]
+        assert gcd(29 * rows[1][1] - q, FIRST_PRIME - 2) == 1
+        memo = basis_module._bareiss
+        before = memo.cache_info()
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        assert rat_matrix(rows).solve([1, 1]) == gauss_solve(rows, [1, 1])
+        assert [m for _, m in factorisations] == [FIRST_PRIME, FIRST_PRIME - 2, FIRST_PRIME - 4]
+        after = memo.cache_info()
+        # the determinant is eliminated once, then read from the memo
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_rhs_denominator_sharing_a_factor_with_the_modulus(self, monkeypatch):
+        # singular mod 2^61 - 1, the matrix keeps 2^61 - 3 = 29 * q; a row
+        # scale of 29 skips that modulus, both kept and in the search
+        p = FIRST_PRIME
+        matrix = rat_matrix([[p, 0], [0, 1]])
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        assert matrix.solve([1, 1]) == [Fraction(1, p), 1]
+        assert matrix.solve([Fraction(1, 29), 1]) == [Fraction(1, 29 * p), 1]
+        assert [m for _, m in factorisations] == [p, p - 2, p, p - 4]
 
     def test_solve_with_the_first_prime_as_a_denominator(self):
         p = FIRST_PRIME
@@ -362,9 +387,9 @@ class TestRatMatrix:
         assert calls == [2]
 
     def test_solve_singular_mod_two_primes_eliminates_once(self):
-        # each singular prime asks for the determinant; the memo answers
-        # every ask after the first
-        p1, p2 = islice(basis_module._primes(), 2)
+        # each modulus at which N is singular asks for the determinant; the
+        # memo answers every ask after the first
+        p1, p2 = FIRST_PRIME, FIRST_PRIME - 2
         memo = basis_module._bareiss
         before = memo.cache_info()
         assert rat_matrix([[p1 * p2, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p1 * p2), 1]
@@ -393,9 +418,9 @@ class TestRatMatrix:
         assert all(FIRST_PRIME ** round(m.bit_length() / 61) == m for m in moduli)
 
     def test_rhs_with_the_working_prime_as_a_denominator(self, monkeypatch):
-        # row scale p: the system is singular mod p, so the solve moves on to
-        # the next prime, and the kept factorisation stays the first prime's
-        p, second = islice(basis_module._primes(), 2)
+        # row scale p: the solve skips p for the next modulus, and the kept
+        # factorisation stays the first modulus's
+        p, second = FIRST_PRIME, FIRST_PRIME - 2
         rows = [[1, 2], [3, 4]]
         matrix = rat_matrix(rows)
         assert matrix.solve([1, 1]) == gauss_solve(rows, [1, 1])
@@ -535,6 +560,15 @@ class TestBasisConstruction:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="newm"):
             Basis(12, "newm", 16, new_basis(12, 16).elements)
+
+    def test_element_count_other_than_the_dimension_is_rejected(self):
+        message = "^a new-s basis of weight 12 has 1 elements, but 0 were given$"
+        with pytest.raises(ValueError, match=message):
+            Basis(12, "new-s", 16, ())
+        elements = new_basis(24, 16).elements
+        message = "^a new-m basis of weight 24 has 3 elements, but 2 were given$"
+        with pytest.raises(ValueError, match=message):
+            Basis(24, "new-m", 16, elements[:2])
 
     def test_precision_below_the_window_is_rejected(self):
         elements = new_basis(12).elements

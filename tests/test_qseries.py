@@ -42,10 +42,9 @@ class TestConstruction:
     def test_coefficient_bounds(self):
         s = QSeries(4, (1, 2))
         assert s.coefficient(1) == 2
-        with pytest.raises(ValueError):
-            s.coefficient(2)
-        with pytest.raises(ValueError):
-            s.coefficient(-1)
+        for bad in (2, -1, 1.0, True):
+            with pytest.raises(ValueError, match=f"^coefficient index {bad} outside precision 2$"):
+                s.coefficient(bad)
 
 
 class TestAddScale:
@@ -117,8 +116,9 @@ class TestMultiply:
         g4 = eisenstein(4, 8)
         assert g4**3 == g4 * g4 * g4
         assert (g4**3).weight == 12
-        with pytest.raises(ValueError):
-            g4**0
+        for bad in (0, True):
+            with pytest.raises(ValueError, match="^series exponent must be a positive integer"):
+                g4**bad
 
 
 class TestKroneckerAgainstSchoolbook:
@@ -220,8 +220,8 @@ class TestEquality:
     def test_truncate(self):
         g = eisenstein(4, 6)
         assert g.truncate(2).coeffs == g.coeffs[:2]
-        for bad in (0, 7):
-            with pytest.raises(ValueError):
+        for bad in (0, 7, 2.0, True):
+            with pytest.raises(ValueError, match=f"^cannot truncate precision 6 to {bad}$"):
                 g.truncate(bad)
 
 
