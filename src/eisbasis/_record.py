@@ -1,10 +1,10 @@
 """Immutable value records: what a frozen dataclass gave this package.
 
 A subclass's fields are the names annotated in its own class body, in
-order.  A record is built positionally, equals only a record of its own
-class with equal fields, hashes as its field tuple and refuses assignment
-and deletion.  A cached_property still works: it writes the instance
-__dict__ directly.
+order.  A record is built positionally, its fields set one by one, equals
+only a record of its own class with equal fields, hashes as its field
+tuple and refuses assignment and deletion.  A cached_property still
+works: it writes the instance __dict__ directly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ class Record:
         fields = self._fields
         if len(values) != len(fields):
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments")
-        self.__dict__.update(zip(fields, values))
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

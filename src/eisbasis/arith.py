@@ -34,10 +34,11 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-def sigma(r: int, m: int) -> Fraction:
-    """Divisor power sum sigma_r(m) = sum of d^r over positive divisors d of m.
+def sigma(r: int, m: int) -> int | Fraction:
+    """Divisor power sum sigma_r(m) = sum of d^r over positive divisors d of m,
+    an int for m >= 1.
 
-    Requires odd r >= 1.  The value at m = 0 is defined as
+    Requires odd r >= 1.  The value at m = 0 is the Fraction
     -B_{r+1} / (2 (r+1)), the constant term of the weight-(r+1) Eisenstein
     series; this extension needs r >= 3 (r = 1 would invoke the
     quasi-modular weight-2 series and is rejected).
@@ -57,7 +58,7 @@ def sigma(r: int, m: int) -> Fraction:
             q = m // d
             if q != d:
                 total += q**r
-    return Fraction(total)
+    return total
 
 
 class DimensionData(Record):

@@ -303,13 +303,13 @@ def _cmd_verify(args) -> int:
         kinds = (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
         new_m, classical, new_s = reports = [verify_basis(weight, kind) for kind in kinds]
         checks = [
-            ("dim", new_m.element_count == new_m.expected_count == oracle),
+            ("dim", new_m.element_count == oracle),
             ("new-m det", new_m.determinant != 0),
             ("classical det", classical.determinant != 0),
             ("cusp a_0", new_s.constant_terms_vanish is True),
             ("cusp det", new_s.determinant != 0),
         ]
-        ok = all(report.confirmed for report in reports) and new_m.expected_count == oracle
+        ok = all(report.confirmed for report in reports) and new_m.element_count == oracle
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
         detail = "  ".join(f"{name}:{'ok' if flag else 'BAD'}" for name, flag in checks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import _check_weight, _is_int, sigma
-from .qseries import QSeries
+from .qseries import QSeries, _series
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -18,14 +18,17 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     """The weight-`weight` Eisenstein series, truncated to `precision` terms.
 
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
-    term -B_weight/(2*weight) by the same divisor-sum convention.  Results
-    are cached, keyed by type too, so a 16.0 is never answered by the 16
-    entry; the returned series is immutable and safe to share.
+    term -B_weight/(2*weight) by the same divisor-sum convention, and its
+    denominator is the series'.  Results are cached, keyed by type too, so
+    a 16.0 is never answered by the 16 entry; the returned series is
+    immutable and safe to share.
     """
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
-    return QSeries(weight, tuple(sigma(weight - 1, m) for m in range(precision)))
+    a0 = sigma(weight - 1, 0)
+    tail = [a0.denominator * sigma(weight - 1, m) for m in range(1, precision)]
+    return _series(weight, [a0.numerator, *tail], a0.denominator)
 
 
 @lru_cache(maxsize=None, typed=True)

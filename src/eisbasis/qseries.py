@@ -31,8 +31,9 @@ from .arith import _check_weight, _is_int
 
 
 def _as_fraction(value) -> Fraction:
-    """The one gate for exact rationals: an int or a Fraction, as a Fraction."""
-    if not isinstance(value, (int, Fraction)):
+    """The one gate for exact rationals: an int (not a bool) or a Fraction,
+    as a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"{type(value).__name__} values are not allowed; use Fraction or int")
     return Fraction(value)
 
@@ -79,9 +80,7 @@ def _series(weight: int, numerators, denominator: int) -> QSeries:
         numerators = [v // g for v in numerators]
         denominator //= g
     series = object.__new__(QSeries)
-    object.__setattr__(series, "weight", weight)
-    object.__setattr__(series, "numerators", tuple(numerators))
-    object.__setattr__(series, "denominator", denominator)
+    Record.__init__(series, weight, tuple(numerators), denominator)
     return series
 
 
@@ -105,9 +104,7 @@ class QSeries(Record):
             raise ValueError("a series needs at least one coefficient")
         # over the lcm of reduced denominators the numerators are coprime to it
         numerators, denominator = _numerators(fractions)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "denominator", denominator)
+        super().__init__(weight, tuple(numerators), denominator)
 
     @property
     def precision(self) -> int:
@@ -156,18 +153,14 @@ class QSeries(Record):
             return _series(
                 self.weight + other.weight, product, self.denominator * other.denominator
             )
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            numerators = [a * c.numerator for a in self.numerators]
-            return _series(self.weight, numerators, self.denominator * c.denominator)
-        return NotImplemented
+        c = _as_fraction(other)
+        numerators = [a * c.numerator for a in self.numerators]
+        return _series(self.weight, numerators, self.denominator * c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        return self * (1 / _as_fraction(other))
 
     def __pow__(self, exponent: int) -> QSeries:
         if not _is_int(exponent) or exponent < 1:

@@ -551,6 +551,19 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "4")
         assert code == 1
 
+    def test_dimension_mismatch_fails(self, capsys, monkeypatch):
+        # the dim check compares new-m's element count with the independent
+        # oracle, so an oracle one too high must fail every weight
+        oracle = eisbasis.cli.dimension_oracle
+        monkeypatch.setattr(eisbasis.cli, "dimension_oracle", lambda weight: oracle(weight) + 1)
+        code, out, _ = run_cli(capsys, "verify", "--max-weight", "8")
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 4
+        for line in lines[:3]:
+            assert "dim:BAD" in line and line.endswith("FAIL"), line
+        assert lines[3] == "verified weights 4..8: FAILURES (3 weights)"
+
     def test_invalid_bound(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-weight", "3")
         assert code == 2

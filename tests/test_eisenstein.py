@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisbasis import eisenstein, eisenstein_product
+from eisbasis import QSeries, eisenstein, eisenstein_product
 from eisbasis.arith import bernoulli, sigma
 
 
@@ -65,12 +65,18 @@ def test_constant_term_is_the_literal_definition():
 
 
 def test_positive_integer_coefficients_past_the_constant():
-    for weight in range(4, 42, 2):
+    for weight in range(4, 62, 2):
         series = eisenstein(weight, 8)
         assert series.coefficient(1) == 1
         for m in range(1, 8):
+            assert type(sigma(weight - 1, m)) is int
             value = series.coefficient(m)
             assert value.denominator == 1 and value > 0
+        # the integer build equals, and hashes like, the Fraction constructor's
+        for precision in (1, 2, 8, 25):
+            direct = QSeries(weight, [sigma(weight - 1, m) for m in range(precision)])
+            assert eisenstein(weight, precision) == direct
+            assert hash(eisenstein(weight, precision)) == hash(direct)
 
 
 @pytest.mark.parametrize(

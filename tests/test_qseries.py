@@ -28,6 +28,9 @@ class TestConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             QSeries(4, (0.5, 1))
+        # a bool is an int subclass, but not an exact rational here
+        with pytest.raises(TypeError, match="^bool values are not allowed; use Fraction or int$"):
+            QSeries(4, (True, 1))
 
     def test_rejects_strings(self):
         # only ints and Fractions are exact rationals; a string is not parsed
@@ -79,6 +82,14 @@ class TestAddScale:
     def test_division_by_scalar(self):
         g4 = eisenstein(4, 4)
         assert (g4 * 240) / 240 == g4
+
+    @pytest.mark.parametrize("scalar", [True, 0.5, "2"])
+    def test_scalars_pass_the_rational_gate(self, scalar):
+        g4 = eisenstein(4, 4)
+        message = f"^{type(scalar).__name__} values are not allowed; use Fraction or int$"
+        for scale in (lambda: g4 * scalar, lambda: scalar * g4, lambda: g4 / scalar):
+            with pytest.raises(TypeError, match=message):
+                scale()
 
 
 class TestMultiply:

@@ -19,7 +19,6 @@ FIELDS = {
         "weight",
         "kind",
         "element_count",
-        "expected_count",
         "determinant",
         "constant_terms_vanish",
     ),
@@ -72,7 +71,7 @@ def test_reprs_name_every_field():
     )
     assert repr(verify_report(new_basis(12, 16))) == (
         "VerificationReport(weight=12, kind=<BasisKind.NEW_M: 'new-m'>, element_count=2, "
-        "expected_count=2, determinant=Fraction(1, 17472), constant_terms_vanish=None)"
+        "determinant=Fraction(1, 17472), constant_terms_vanish=None)"
     )
     # QSeries keeps its own repr
     assert repr(eisenstein(4, 8)) == "QSeries(weight=4, precision=8, coeffs=(1/240, 1, 9, 28, ...))"
