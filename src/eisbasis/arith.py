@@ -4,33 +4,38 @@ and the dimension counts for level-one modular and cusp forms."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from itertools import accumulate
+from math import isqrt
 
 from ._record import Record
 
-# Even-index Bernoulli cache, filled in ascending order.  Entries are
-# immutable and keyed by index, so a concurrent fill is idempotent: at
-# worst two callers repeat the same work and store the same values.
+# Even-index Bernoulli cache, filled in ascending order, and the newest row
+# of Seidel's triangle that filled it.  Entries are immutable and keyed by
+# index, so a concurrent fill is idempotent: at worst two callers repeat
+# the same rows and store the same values.
 _bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
+_seidel_row: tuple[int, ...] = (1,)
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n for even n >= 0, as an exact Fraction.
 
     Odd indices are rejected: B_1 is convention-dependent and B_3, B_5, ...
-    vanish, and no consumer in this package has a use for them.  Internally
-    the binomial recurrence sum_{r=0}^{m} C(m+1, r) B_r = 0 is used with
-    B_1 = -1/2, restricted to the surviving even-index terms.
+    vanish, and no consumer in this package has a use for them.  B_2k is
+    (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) with T_k the k-th tangent number,
+    read off Seidel's triangle in additions only (Brent & Harvey,
+    arXiv:1108.0286).
     """
-    if n < 0 or n % 2 != 0:
+    global _seidel_row
+    if not _is_int(n) or n < 0 or n % 2 != 0:
         raise ValueError(f"Bernoulli index must be a non-negative even integer, got {n}")
-    if n not in _bernoulli_cache:
-        start = max(_bernoulli_cache) + 2
-        for m in range(start, n + 2, 2):
-            acc = Fraction(m + 1, -2)  # the C(m+1, 1) * B_1 term
-            for j in range(0, m, 2):
-                acc += comb(m + 1, j) * _bernoulli_cache[j]
-            _bernoulli_cache[m] = -acc / (m + 1)
+    while n not in _bernoulli_cache:
+        # row r + 1 is 0, then the running sums of row r reversed; row 2k - 1
+        # has 2k entries, the last of them T_k
+        row = _seidel_row = (0, *accumulate(reversed(_seidel_row)))
+        if len(row) % 2 == 0:
+            k = len(row) // 2
+            _bernoulli_cache[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * row[-1], 4**k * (4**k - 1))
     return _bernoulli_cache[n]
 
 

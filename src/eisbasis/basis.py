@@ -55,7 +55,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from ._record import Record
-from .arith import _check_weight, _is_int, bernoulli, dimension_data
+from .arith import _check_weight, _is_int, dimension_data, sigma
 from .eisenstein import eisenstein, eisenstein_product
 from .qseries import QSeries, _as_fraction, _numerators
 
@@ -98,8 +98,8 @@ class Product(Record):
 
 
 class CuspCombo(Record):
-    """G_u * G_v + c * G_{u+v}, with c the exact Bernoulli-ratio correction
-    that kills the constant term.  c is stored signed; rendering shows
+    """G_u * G_v + c * G_{u+v}, with c the exact correction that kills the
+    constant term (cusp_correction).  c is stored signed; rendering shows
     "- |c|" when c is negative."""
 
     u: int
@@ -186,12 +186,12 @@ class Basis(Record):
     def __init__(self, weight: int, kind: BasisKind | str, precision: int, elements):
         # a kind may be given by name; every reader of a basis relies on the
         # window fitting in `precision` and on each element filling it
-        super().__init__(weight, BasisKind(kind), precision, elements)
+        super().__init__(weight, BasisKind(kind), precision, tuple(elements))
         expected = self.kind.dimension(weight)
-        if len(elements) != expected:
+        if len(self.elements) != expected:
             raise ValueError(
                 f"a {self.kind.value} basis of weight {weight} has {expected} elements, "
-                f"but {len(elements)} were given"
+                f"but {len(self.elements)} were given"
             )
         if not _is_int(precision):
             raise ValueError(f"basis precision must be an integer, got {precision}")
@@ -263,8 +263,8 @@ def _checked_precision(weight: int, precision: int | None) -> int:
 
 def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
     """The descriptors of the `kind` basis at `weight`, in basis order, with
-    no series realized; only the cusp corrections cost anything (Bernoulli
-    numbers).
+    no series realized; only the cusp corrections cost anything (the
+    constant terms sigma(r, 0), from Bernoulli numbers).
 
     new-m is G_{2k}, then the products in increasing first-factor order:
     the factor weights run (4i, 2k-4i) when 2k = 0 mod 4 and
@@ -281,11 +281,6 @@ def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
             for beta in range(weight // 6 + 1)
             if (weight - 6 * beta) % 4 == 0
         ]
-        if len(pairs) != dims.dim_modular:
-            raise ArithmeticError(
-                f"exponent enumeration for weight {weight} found {len(pairs)} monomials, "
-                f"expected {dims.dim_modular}"
-            )
         return [Monomial(alpha, beta) for alpha, beta in pairs]
     offset = 0 if weight % 4 == 0 else 2
     products = [Product(4 * i + offset, weight - 4 * i - offset) for i in range(1, dims.dim_cusp + 1)]
@@ -298,7 +293,7 @@ def _realize(weight: int, kind: BasisKind, precision: int | None) -> Basis:
     """The `kind` basis at `weight`, every descriptor realized to a checked precision."""
     precision = _checked_precision(weight, precision)
     elements = [BasisElement(d, d.realize(precision)) for d in basis_descriptors(weight, kind)]
-    return Basis(weight, kind, precision, tuple(elements))
+    return Basis(weight, kind, precision, elements)
 
 
 def new_basis(weight: int, precision: int | None = None) -> Basis:
@@ -308,11 +303,11 @@ def new_basis(weight: int, precision: int | None = None) -> Basis:
 
 def cusp_correction(u: int, v: int) -> Fraction:
     """The coefficient c making G_u * G_v + c * G_{u+v} a cusp form:
-    (B_u / u) * (B_v / v) * (k / B_{u+v}) where u + v = 2k."""
+    -a_0(G_u) a_0(G_v) / a_0(G_{u+v}), read from the constant terms
+    sigma(r, 0) that eisenstein() uses.  sigma alone would accept 8.0."""
     _check_weight(u)
     _check_weight(v)
-    weight = u + v
-    return (bernoulli(u) / u) * (bernoulli(v) / v) * (Fraction(weight, 2) / bernoulli(weight))
+    return -sigma(u - 1, 0) * sigma(v - 1, 0) / sigma(u + v - 1, 0)
 
 
 def cusp_basis(weight: int, precision: int | None = None) -> Basis:

@@ -39,6 +39,12 @@ def bernoulli_table(n: int) -> list[Fraction]:
     return table
 
 
+def bernoulli_ratio_correction(u: int, v: int, table: list[Fraction]) -> Fraction:
+    """The cusp correction of G_u * G_v by its Bernoulli-ratio formula
+    (B_u / u) (B_v / v) (k / B_2k), u + v = 2k, from a bernoulli_table."""
+    return (table[u] / u) * (table[v] / v) * (Fraction(u + v, 2) / table[u + v])
+
+
 def brute_sigma(r: int, m: int) -> int:
     return sum(d**r for d in range(1, m + 1) if m % d == 0)
 

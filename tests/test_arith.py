@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 
+import eisbasis.arith
 from eisbasis import dimension_data
 from eisbasis.arith import bernoulli, dimension_oracle, sigma
 from helpers import bernoulli_table, brute_sigma
@@ -29,13 +30,23 @@ class TestBernoulli:
 
     def test_recurrence_identity_holds(self):
         # sum_{j=0}^{n} C(n+1, j) B_j = 0 with B_1 = -1/2 and zero odd tail
-        for n in range(2, 62, 2):
+        for n in [*range(2, 62, 2), 240, 480]:
             acc = Fraction(n + 1, -2)
             for j in range(0, n + 1, 2):
                 acc += comb(n + 1, j) * bernoulli(j)
             assert acc == 0, f"recurrence fails at n={n}"
 
-    @pytest.mark.parametrize("bad", [-2, -1, 1, 3, 7, 61])
+    def test_out_of_order_fill_from_a_fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(eisbasis.arith, "_bernoulli_cache", {0: Fraction(1)})
+        monkeypatch.setattr(eisbasis.arith, "_seidel_row", (1,))
+        table = bernoulli_table(100)
+        for n in (40, 100, 20):
+            assert bernoulli(n) == table[n], f"B_{n} disagrees with recurrence"
+        assert sorted(eisbasis.arith._bernoulli_cache) == list(range(0, 102, 2))
+        assert len(eisbasis.arith._seidel_row) == 100
+
+    # a float index is refused even where the cache holds its integer value
+    @pytest.mark.parametrize("bad", [-2, -1, 1, 3, 7, 61, 4.0, 100.0])
     def test_rejects_odd_and_negative(self, bad):
         with pytest.raises(ValueError):
             bernoulli(bad)

@@ -33,6 +33,8 @@ from eisbasis.basis import (
 )
 from eisbasis.cli import basis_from_document, basis_to_document
 from helpers import (
+    bernoulli_ratio_correction,
+    bernoulli_table,
     delta_series,
     det_leibniz,
     gauss_solve,
@@ -72,8 +74,10 @@ class TestDescriptors:
 
     def test_count_matches_dimension_up_to_120(self):
         for w in range(4, 122, 2):
-            descriptors = basis_descriptors(w, "new-m")
-            assert len(descriptors) == dimension_data(w).dim_modular == dimension_oracle(w)
+            assert dimension_data(w).dim_modular == dimension_oracle(w)
+            for kind in BasisKind:
+                expected = dimension_oracle(w) - (kind is BasisKind.NEW_S)
+                assert len(basis_descriptors(w, kind)) == expected, (w, kind)
 
     def test_factor_weights_legal_up_to_400(self):
         for w in range(4, 402, 2):
@@ -93,6 +97,12 @@ class TestCuspCorrections:
         assert cusp_correction(4, 32) == Fraction(
             -1479565184909325423, 286310154497221833818240
         )
+
+    def test_matches_the_bernoulli_ratio_formula_up_to_240(self):
+        table = bernoulli_table(240)
+        for w in range(8, 242, 2):
+            for u in range(4, w - 2, 2):
+                assert cusp_correction(u, w - u) == bernoulli_ratio_correction(u, w - u, table)
 
     def test_constant_terms_cancel_exactly(self):
         for w in range(4, 62, 2):
@@ -539,6 +549,13 @@ class TestBasisConstruction:
         assert verify_report(basis).confirmed
         assert basis_to_document(basis) == basis_to_document(built)
         assert basis_from_document(basis_to_document(basis)) == built
+
+    def test_elements_given_as_a_list_are_kept_as_a_tuple(self):
+        built = new_basis(12)
+        listed = Basis(12, "new-m", 16, list(built.elements))
+        assert type(listed.elements) is tuple
+        assert listed == built
+        assert hash(listed) == hash(built)
 
     def test_cusp_kind_by_name_expresses_on_its_own_window(self):
         elements = cusp_basis(12, 21).elements

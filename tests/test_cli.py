@@ -255,9 +255,12 @@ class TestBasisDocumentRealization:
         doc["elements"][position]["descriptor"][key] = value
         count = len(doc["elements"])
         extra = dict(doc, elements=doc["elements"] + [doc["elements"][position]])
-        monkeypatch.setattr(EISENSTEIN_MODULE, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
-        for module in (eisbasis.arith, eisbasis.basis):
-            monkeypatch.setattr(module, "bernoulli", bounded("bernoulli", module.bernoulli, 0))
+        # the cusp corrections read sigma in basis, and sigma reads arith's bernoulli
+        for module in (EISENSTEIN_MODULE, eisbasis.basis):
+            monkeypatch.setattr(module, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
+        monkeypatch.setattr(
+            eisbasis.arith, "bernoulli", bounded("bernoulli", eisbasis.arith.bernoulli, 0)
+        )
         monkeypatch.setattr(
             eisbasis.basis,
             "_eisenstein_power",
@@ -337,8 +340,8 @@ class TestBasisDocumentRealization:
             assert n <= 4, f"computed B_{n} for a document with wrong descriptors"
             return original(n)
 
-        for module in (eisbasis.arith, eisbasis.basis):
-            monkeypatch.setattr(module, "bernoulli", bounded)
+        # every constant term, and so every correction, reads arith's bernoulli
+        monkeypatch.setattr(eisbasis.arith, "bernoulli", bounded)
         precision = eisbasis.basis.default_precision(1200)
         element = {"descriptor": {}, "label": "", "coefficients": ["0"] * precision}
         doc = {"weight": 1200, "kind": "new-s", "precision": precision, "elements": [element] * 100}
@@ -366,8 +369,7 @@ class TestBasisDocumentRealization:
             assert n <= 4, f"computed B_{n} for a document below the precision floor"
             return original(n)
 
-        for module in (eisbasis.arith, eisbasis.basis):
-            monkeypatch.setattr(module, "bernoulli", bounded)
+        monkeypatch.setattr(eisbasis.arith, "bernoulli", bounded)
         elements = [
             {"descriptor": {"type": "cusp-combo", "u": 4 * i, "v": 1200 - 4 * i, "c": "0"},
              "label": "", "coefficients": ["0"]}
