@@ -48,9 +48,9 @@ def sigma(r: int, m: int) -> int | Fraction:
     series; this extension needs r >= 3 (r = 1 would invoke the
     quasi-modular weight-2 series and is rejected).
     """
-    if r < 1 or r % 2 == 0:
+    if not _is_int(r) or r < 1 or r % 2 == 0:
         raise ValueError(f"sigma exponent must be a positive odd integer, got {r}")
-    if m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"sigma argument must be non-negative, got {m}")
     if m == 0:
         if r < 3:

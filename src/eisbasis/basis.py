@@ -42,8 +42,8 @@ window inverted modulo 2^61 - 1, or the next odd modulus below it at which
 every pivot is a unit, so each form costs O(n^2) per digit of its
 coordinates in that base, read back by rational reconstruction.
 That method may be wrong, so it is never trusted: the solve returns only an
-answer that satisfies its system exactly, and express() then checks the
-reconstruction exactly against every supplied coefficient.
+answer that satisfies every window row exactly, giving up past a Hadamard
+limit taken in bits, and express() checks every other coefficient exactly.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def new_basis(weight: int, precision: int | None = None) -> Basis:
 def cusp_correction(u: int, v: int) -> Fraction:
     """The coefficient c making G_u * G_v + c * G_{u+v} a cusp form:
     -a_0(G_u) a_0(G_v) / a_0(G_{u+v}), read from the constant terms
-    sigma(r, 0) that eisenstein() uses.  sigma alone would accept 8.0."""
+    sigma(r, 0) that eisenstein() uses, once both are checked as weights."""
     _check_weight(u)
     _check_weight(v)
     return -sigma(u - 1, 0) * sigma(v - 1, 0) / sigma(u + v - 1, 0)
@@ -384,10 +384,12 @@ class RatMatrix:
         digit y of x costs O(n^2): y solves the system mod m, and
         (t - diag(s) N y) / m is the next right-hand side (Dixon lifting).
         x is read back by rational reconstruction after geometrically more
-        digits, and returned only if it satisfies every scaled row exactly.
-        Past m^k > 2 * (prod_i (s_i |N_i| + |t_i|))^2, twice a squared
-        Hadamard bound on Cramer's rule, reconstruction cannot fail for a
-        nonsingular matrix, so a candidate failing there is ArithmeticError.
+        digits, and returned only if it satisfies every scaled row exactly,
+        which certifies the rows.  Past twice a squared Hadamard bound on
+        Cramer's rule, 2 * (prod_i b_i)^2 with b_i = s_i |N_i| + |t_i|,
+        reconstruction cannot fail for a nonsingular matrix, so a candidate
+        failing there is ArithmeticError.  The limit is taken in bits, as
+        m^k >= 2^(2 * sum_i bits(b_i) + 1), at most 2n bits past the bound.
         """
         n = self.rows
         if len(rhs) != n:
@@ -399,8 +401,8 @@ class RatMatrix:
             scales.append(common // den)
             targets.append(b.numerator * (common // b.denominator))
         m, inverse = self._factor(scales)
-        bound = prod(s * a + abs(t) for s, a, t in zip(scales, self._norms, targets))
-        limit = 2 * bound * bound
+        sizes = zip(scales, self._norms, targets)
+        limit_bits = 2 * sum((s * a + abs(t)).bit_length() for s, a, t in sizes) + 1
         unscale = [pow(s, -1, m) for s in scales]
         residual, residues, modulus, digits, next_try = targets, [0] * n, 1, 0, 1
         while True:
@@ -409,7 +411,7 @@ class RatMatrix:
             residues = [r + modulus * d for r, d in zip(residues, y)]
             modulus *= m
             digits += 1
-            past_bound = modulus > limit
+            past_bound = modulus.bit_length() > limit_bits
             # a failed reconstruction costs a Euclidean pass over the whole
             # modulus, so the digits between tries grow with their count:
             # tries come after 1, 2, 3, 4, 6, 8, 11, 14, 18, 23, ... digits
@@ -644,12 +646,12 @@ def _check_target_precision(target: QSeries) -> None:
 def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
-    The square system on the coefficients in ``basis.window`` is solved by
-    RatMatrix.solve, then the reconstruction is compared, in integers over
-    common denominators, against every coefficient of the target, so the
-    basis must be at least as long as the target.  Any mismatch raises
-    SpanError carrying the first bad index: the input is not in the span,
-    i.e. not a modular form of this weight.
+    The square system on the coefficients in ``basis.window`` is solved,
+    and certified, by RatMatrix.solve; the reconstruction is then compared,
+    in integers over common denominators, against every other coefficient
+    of the target, so the basis must be at least as long as the target.
+    Any mismatch raises SpanError carrying the first bad index: the input
+    is not in the span, i.e. not a modular form of this weight.
     """
     if target.weight != basis.weight:
         raise ValueError(
@@ -667,10 +669,10 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
             )
         common, columns, matrix = basis._express_system
         coords = matrix.solve([target.coefficient(j) for j in basis.window])
-    # integer comparison: coords = N / D and t_j = T_j / E, so the
-    # reconstruction sum(N * columns[j]) / (D * L) must equal T_j / E
+    # the solve certified the window exactly; off it, with coords = N / D and
+    # t_j = T_j / E, sum(N * columns[j]) / (D * L) must equal T_j / E
     nums, den = _numerators(coords)
-    for j in range(limit):
+    for j in [*range(basis.window.start), *range(basis.window.stop, limit)]:
         total = sum(map(mul, nums, columns[j])) if count else 0
         if total * target.denominator != target.numerators[j] * den * common:
             raise SpanError(j, target.coefficient(j), Fraction(total, den * common))

@@ -5,7 +5,7 @@ coordinates.
 All numeric output is exact: rationals serialize as canonical strings
 ("p" or "p/q" in lowest terms, q > 1, at most one leading "-"), never as
 floating point.  Exit codes: 0 success, 1 verification or consistency
-failure, 2 usage or input error.
+failure or stdout closed before the output ended, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -404,7 +405,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; on devnull the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

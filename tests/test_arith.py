@@ -93,6 +93,20 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma(1, 0)  # weight-2 constant term must not exist
 
+    # a float or a bool is refused on either side, never computed with
+    @pytest.mark.parametrize(
+        "r, m, message",
+        [
+            (7.0, 5, "exponent"),
+            (True, 3, "exponent"),
+            (3, True, "argument"),
+            (3, 2.0, "argument"),
+        ],
+    )
+    def test_rejects_non_int_arguments(self, r, m, message):
+        with pytest.raises(ValueError, match=f"sigma {message} must be"):
+            sigma(r, m)
+
     def test_exponent_one_allowed_for_positive_argument(self):
         assert sigma(1, 6) == 1 + 2 + 3 + 6
 

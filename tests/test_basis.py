@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 
@@ -459,6 +459,43 @@ class TestRatMatrix:
         )
         with pytest.raises(ArithmeticError):
             rat_matrix([[1, 2], [3, 4]]).solve([1, 1])
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [
+            ([[1, Fraction(2, 3)], [3, 4]], [Fraction(1, 3), Fraction(-5, 7)]),
+            (
+                # a Vandermonde matrix with row i over i + 1
+                [[Fraction((i + 2) ** j, i + 1) for j in range(6)] for i in range(6)],
+                [Fraction(1, 2), 3, Fraction(-7, 9), Fraction(10**30, 11), 0, Fraction(5, 12)],
+            ),
+        ],
+    )
+    def test_solve_gives_up_just_past_the_hadamard_bound(self, monkeypatch, rows, rhs):
+        # with every reconstruction wrong, the last try must come past
+        # 2 * (prod_i (s_i |N_i| + |t_i|))^2, where reconstruction is sure to
+        # succeed, and at most one digit later than the first modulus past it
+        moduli = []
+
+        def wrong(residues, m):
+            moduli.append(m)
+            return [Fraction(0)] * len(residues)
+
+        monkeypatch.setattr(basis_module, "_reconstruct_vector", wrong)
+        with pytest.raises(ArithmeticError):
+            rat_matrix(rows).solve(rhs)
+        bound = 1
+        for row, b in zip(rows, rhs):
+            row = [Fraction(v) for v in row]
+            den = lcm(*[v.denominator for v in row])
+            nums = [v.numerator * (den // v.denominator) for v in row]
+            g = gcd(den, *nums)
+            nums, den = [v // g for v in nums], den // g
+            scale = lcm(den, b.denominator) // den
+            target = b.numerator * (lcm(den, b.denominator) // b.denominator)
+            bound *= scale * (isqrt(sum(v * v for v in nums)) + 1) + abs(target)
+        limit = 2 * bound * bound
+        assert limit < moduli[-1] <= limit * FIRST_PRIME**2
 
     def test_solve_shape_checks(self):
         with pytest.raises(ValueError, match="square"):

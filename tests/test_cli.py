@@ -751,3 +751,20 @@ def test_python_m_behaves_like_console_script(capsys, monkeypatch, module, argv)
     )
     if argv[-1] == "3":
         assert proc.returncode == 2 and "error" in proc.stderr
+
+
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    # the dimension table to 200000 is about 2.1 MB, far past any pipe
+    # buffer, so the program is still writing when the reader leaves
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    with subprocess.Popen(
+        [sys.executable, "-m", "eisbasis", "dims", "--max-weight", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    ) as proc:
+        assert proc.stdout.readline().split() == [b"weight", b"dim_S", b"dim_M"]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr, stderr.decode()
