@@ -36,14 +36,16 @@ certifying new-s after new-m and classical, as verify does, repeats no
 elimination.  Unlike the series caches the memo is bounded, and a hit
 needs an identical integer matrix, so it never changes a determinant.
 
-Expressing a form in coordinates solves the leading square window by
-p-adic (Dixon) lifting.  From the first express() on, the basis keeps its
-window inverted modulo 2^61 - 1, or the next odd modulus below it at which
-every pivot is a unit, so each form costs O(n^2) per digit of its
-coordinates in that base, read back by rational reconstruction.
-That method may be wrong, so it is never trusted: the solve returns only an
-answer that satisfies every window row exactly, giving up past a Hadamard
-limit taken in bits, and express() checks every other coefficient exactly.
+Expressing a form in coordinates solves the leading square window by p-adic
+(Dixon) lifting on the target's integer numerators over their denominator
+E.  Window row i, over d_i, is scaled by E / gcd(d_i, E), a divisor of E,
+so one inverse of E unscales every row.  From the first express() on, the
+basis keeps its window inverted modulo 2^61 - 1, or the next odd modulus
+below it, coprime to E, at which every pivot is a unit, so each form costs
+O(n^2) per digit of its coordinates in that base, read back by rational
+reconstruction.  That may be wrong, so the solve returns only numerators
+that satisfy every scaled row exactly, giving up past a Hadamard limit
+taken in bits, and express() checks every other coefficient exactly.
 """
 
 from __future__ import annotations
@@ -335,7 +337,7 @@ class RatMatrix:
     linear solve that is modular inside but certified exactly.
 
     It is built from cleared rows: row i is a pair (numerators, denominator)
-    of integers, denominator > 0, holding the entries numerators[j] /
+    of ints (not bools), denominator > 0, holding the entries numerators[j] /
     denominator.  There must be at least one row, and the matrix must be
     square.  Each row is kept in lowest terms, which makes the cleared rows
     of a matrix of rationals unique.
@@ -350,6 +352,8 @@ class RatMatrix:
         for numerators, den in rows:
             if len(numerators) != n:
                 raise ValueError(f"matrix must be square: {n} rows, a row of {len(numerators)}")
+            if bool in map(type, (den, *numerators)):
+                raise TypeError("bool values are not allowed; use Fraction or int")
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
             # gcd takes integers only: a float entry raises TypeError here
@@ -376,35 +380,40 @@ class RatMatrix:
         return _bareiss(self._rows)
 
     def solve(self, rhs) -> list[Fraction]:
-        """Solve self * x = rhs exactly, by p-adic lifting certified exactly.
+        """Solve self * x = rhs exactly: each entry of rhs passes the rational
+        gate, and _solve takes their numerators over their lcm E."""
+        if len(rhs) != self.rows:
+            raise ValueError(f"right-hand side length {len(rhs)} does not match {self.rows} rows")
+        return self._solve(*_numerators([_as_fraction(b) for b in rhs]))[0]
 
-        Row i of [self | rhs] is scaled by s_i to integers: diag(s) N x = t.
-        With N inverted once modulo m = 2^61 - 1, or the next odd modulus
-        below it at which every pivot is a unit (see _factor), each base-m
-        digit y of x costs O(n^2): y solves the system mod m, and
-        (t - diag(s) N y) / m is the next right-hand side (Dixon lifting).
-        x is read back by rational reconstruction after geometrically more
-        digits, and returned only if it satisfies every scaled row exactly,
-        which certifies the rows.  Past twice a squared Hadamard bound on
-        Cramer's rule, 2 * (prod_i b_i)^2 with b_i = s_i |N_i| + |t_i|,
-        reconstruction cannot fail for a nonsingular matrix, so a candidate
-        failing there is ArithmeticError.  The limit is taken in bits, as
+    def _solve(self, targets, den: int) -> tuple[list[Fraction], list[int], int]:
+        """x with self * x = targets / E (integers over one E = den > 0), by
+        p-adic lifting certified exactly, as (x, N, D) with x = N / D.
+
+        Row i, numerators N_i over d_i, times s_i = E / gcd(d_i, E) is the
+        integer row s_i N_i x = t_i = targets_i * d_i / gcd(d_i, E).  Every
+        s_i divides E, so with N inverted once modulo an m coprime to E (see
+        _factor), s_i^-1 = gcd(d_i, E) * E^-1 mod m: one modular inverse per
+        solve.  Each base-m digit y of x costs O(n^2): y solves the system
+        mod m, and (t - diag(s) N y) / m is the next right-hand side (Dixon
+        lifting).  x is read back by rational reconstruction after
+        geometrically more digits, and returned only if it satisfies every
+        scaled row exactly, which certifies the rows.  Past twice a squared
+        Hadamard bound on Cramer's rule for the scaled system,
+        2 * (prod_i b_i)^2 with b_i = s_i |N_i| + |t_i|, reconstruction
+        cannot fail for a nonsingular matrix, so a candidate failing there
+        is ArithmeticError.  The limit is taken in bits, as
         m^k >= 2^(2 * sum_i bits(b_i) + 1), at most 2n bits past the bound.
         """
-        n = self.rows
-        if len(rhs) != n:
-            raise ValueError(f"right-hand side length {len(rhs)} does not match {n} rows")
-        scales, targets = [], []
-        for (_, den), b in zip(self._rows, rhs):
-            b = _as_fraction(b)
-            common = lcm(den, b.denominator)
-            scales.append(common // den)
-            targets.append(b.numerator * (common // b.denominator))
-        m, inverse = self._factor(scales)
-        sizes = zip(scales, self._norms, targets)
+        m, inverse = self._factor(den)
+        unit = pow(den, -1, m)
+        shared = [gcd(d, den) for _, d in self._rows]
+        scales = [den // g for g in shared]
+        scaled = [t * (d // g) for (_, d), t, g in zip(self._rows, targets, shared)]
+        unscale = [g * unit % m for g in shared]
+        sizes = zip(scales, self._norms, scaled)
         limit_bits = 2 * sum((s * a + abs(t)).bit_length() for s, a, t in sizes) + 1
-        unscale = [pow(s, -1, m) for s in scales]
-        residual, residues, modulus, digits, next_try = targets, [0] * n, 1, 0, 1
+        residual, residues, modulus, digits, next_try = scaled, [0] * len(scaled), 1, 0, 1
         while True:
             v = [r % m * u for r, u in zip(residual, unscale)]
             y = [sum(map(mul, row, v)) % m for row in inverse]
@@ -421,10 +430,10 @@ class RatMatrix:
                 if x is not None:
                     # with x = N / D over one denominator, exactly
                     # s_i * sum_j a_ij N_j == t_i D for every row i
-                    nums, den = _numerators(x)
-                    rows = zip(self._rows, scales, targets)
-                    if all(s * sum(map(mul, a, nums)) == t * den for (a, _), s, t in rows):
-                        return x
+                    nums, x_den = _numerators(x)
+                    rows = zip(self._rows, scales, scaled)
+                    if all(s * sum(map(mul, a, nums)) == t * x_den for (a, _), s, t in rows):
+                        return x, nums, x_den
             if past_bound:
                 raise ArithmeticError(
                     "modular solve found no exact solution within the Hadamard bound"
@@ -437,20 +446,20 @@ class RatMatrix:
         """An integer bound above the Euclidean norm of each numerator row."""
         return [isqrt(sum(v * v for v in numerators)) + 1 for numerators, _ in self._rows]
 
-    def _factor(self, scales: list[int]) -> tuple[int, list[list[int]]]:
+    def _factor(self, den: int) -> tuple[int, list[list[int]]]:
         """(m, N^-1 mod m) for the numerator matrix N, at m = 2^61 - 1 (a
-        prime) or the next odd modulus below it that is coprime to every row
-        scale and at which every pivot of N is a unit.  m need not be prime:
-        lifting needs only N and the scales invertible mod m, and rational
-        reconstruction works for any m.  The first pair found is kept as long
-        as the matrix and reused while its modulus is coprime to every scale.
-        Each modulus that fails for N asks the exact determinant (a _bareiss
-        memo hit after the first) if it is 0.
+        prime) or the next odd modulus below it that is coprime to the
+        right-hand side's denominator E = den and at which every pivot of N
+        is a unit.  m need not be prime: lifting needs only N and the row
+        scales, which divide E, invertible mod m, and rational reconstruction
+        works for any m.  The first pair found is kept with the matrix and
+        reused while its modulus is coprime to E.  Each modulus that fails
+        for N asks the exact determinant, memoised by _bareiss, if it is 0.
         """
-        if self._kept and all(gcd(s, self._kept[0]) == 1 for s in scales):
+        if self._kept and gcd(den, self._kept[0]) == 1:
             return self._kept
         for m in range((1 << 61) - 1, 1, -2):
-            if any(gcd(s, m) != 1 for s in scales):
+            if gcd(den, m) != 1:
                 continue
             inverse = _inverse_mod([numerators for numerators, _ in self._rows], m)
             if inverse is not None:
@@ -646,10 +655,10 @@ def _check_target_precision(target: QSeries) -> None:
 def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
-    The square system on the coefficients in ``basis.window`` is solved,
-    and certified, by RatMatrix.solve; the reconstruction is then compared,
-    in integers over common denominators, against every other coefficient
-    of the target, so the basis must be at least as long as the target.
+    The square system on the target's numerators in ``basis.window`` is
+    solved, and certified, by RatMatrix._solve; its integer numerators are
+    then compared, over common denominators, against every other
+    coefficient of the target, so the basis must be as long as the target.
     Any mismatch raises SpanError carrying the first bad index: the input
     is not in the span, i.e. not a modular form of this weight.
     """
@@ -660,7 +669,8 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     _check_target_precision(target)
     count = len(basis.elements)
     limit = target.precision
-    common, columns, coords = 1, None, []
+    start, stop = basis.window.start, basis.window.stop
+    coords, nums, scale = [], [], 1
     if count:
         if basis.precision < limit:
             raise ValueError(
@@ -668,12 +678,12 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"rebuild with precision >= {limit}"
             )
         common, columns, matrix = basis._express_system
-        coords = matrix.solve([target.coefficient(j) for j in basis.window])
+        coords, nums, den = matrix._solve(target.numerators[start:stop], target.denominator)
+        scale = den * common
     # the solve certified the window exactly; off it, with coords = N / D and
     # t_j = T_j / E, sum(N * columns[j]) / (D * L) must equal T_j / E
-    nums, den = _numerators(coords)
-    for j in [*range(basis.window.start), *range(basis.window.stop, limit)]:
+    for j in [*range(start), *range(stop, limit)]:
         total = sum(map(mul, nums, columns[j])) if count else 0
-        if total * target.denominator != target.numerators[j] * den * common:
-            raise SpanError(j, target.coefficient(j), Fraction(total, den * common))
+        if total * target.denominator != target.numerators[j] * scale:
+            raise SpanError(j, target.coefficient(j), Fraction(total, scale))
     return coords

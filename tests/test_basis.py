@@ -243,6 +243,16 @@ class TestRatMatrix:
         for den in (0, -2):
             with pytest.raises(ValueError, match="denominator"):
                 RatMatrix([([1], den)])
+        # bools are ints to gcd, but refused as everywhere else
+        message = "^bool values are not allowed; use Fraction or int$"
+        for rows in (
+            [([True, 0], 1), ([0, 1], 1)],
+            [([1, 0], 1), ([0, 1], True)],
+            [([True, 0], 1), ([0, 1], True)],
+            [([1, False], 1), ([0, 1], 1)],
+        ):
+            with pytest.raises(TypeError, match=message):
+                RatMatrix(rows)
 
     def test_matches_permutation_expansion(self):
         rng = random.Random(1159)
@@ -443,6 +453,52 @@ class TestRatMatrix:
         assert matrix.solve([5, Fraction(1, 3)]) == gauss_solve(rows, [5, Fraction(1, 3)])
         assert len(factorisations) == 2
 
+    def test_target_denominator_a_multiple_of_the_kept_modulus(self, monkeypatch):
+        # G_12 / (2^61 - 1) + Delta lies over a multiple of the modulus the
+        # window keeps, so the solve factors it at the next one, 2^61 - 3,
+        # and the kept factorisation serves the next target again
+        basis = new_basis(12, 21)
+        delta = delta_series(21)
+        coords = [Fraction(-91, 600), Fraction(2764, 15)]
+        assert express(delta, basis) == coords
+        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        target = eisenstein(12, 21) / FIRST_PRIME + delta
+        assert target.denominator % FIRST_PRIME == 0
+        assert express(target, basis) == [coords[0] + Fraction(1, FIRST_PRIME), coords[1]]
+        assert [m for _, m in factorisations] == [FIRST_PRIME - 2]
+        assert express(delta, basis) == coords
+        assert len(factorisations) == 1
+
+    def test_one_modular_inverse_per_solve(self, monkeypatch):
+        # rows over several denominators and a right-hand side over another:
+        # once the window is factored, a solve takes only the inverse of E
+        rows = [[Fraction(1, 6), 2, 3], [4, Fraction(5, 9), 6], [7, 8, Fraction(10, 21)]]
+        matrix = rat_matrix(rows)
+        matrix.solve([1, 2, 3])
+        inverses = []
+
+        def counted(base, exponent, modulus):
+            inverses.append(base)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(basis_module, "pow", counted, raising=False)
+        for rhs in ([Fraction(1, 4), 5, Fraction(-2, 35)], [Fraction(3, 10), 0, 7]):
+            inverses.clear()
+            assert matrix.solve(rhs) == gauss_solve(rows, rhs)
+            assert inverses == [lcm(*[Fraction(b).denominator for b in rhs])]
+
+    def test_integer_core_matches_the_rational_gate(self):
+        # targets over a denominator that is not their lcm give the same x,
+        # with its numerators over one denominator
+        rows = [[Fraction(1, 3), 2], [5, Fraction(7, 4)]]
+        matrix = rat_matrix(rows)
+        rhs = [Fraction(1, 2), Fraction(-3, 5)]
+        x = matrix.solve(rhs)
+        for scale in (1, 3, 4, 12, FIRST_PRIME):
+            coords, nums, den = matrix._solve([5 * scale, -6 * scale], 10 * scale)
+            assert coords == x == gauss_solve(rows, rhs)
+            assert [Fraction(v, den) for v in nums] == x
+
     def test_solve_one_by_one(self):
         assert rat_matrix([[3]]).solve([5]) == [Fraction(5, 3)]
         assert rat_matrix([[Fraction(-2, 7)]]).solve([Fraction(4, 9)]) == [Fraction(-14, 9)]
@@ -484,6 +540,9 @@ class TestRatMatrix:
         monkeypatch.setattr(basis_module, "_reconstruct_vector", wrong)
         with pytest.raises(ArithmeticError):
             rat_matrix(rows).solve(rhs)
+        # the scaled system: row i, cleared to N_i over d_i, times
+        # s_i = E / gcd(d_i, E), with E the lcm of the rhs denominators
+        common = lcm(*[Fraction(b).denominator for b in rhs])
         bound = 1
         for row, b in zip(rows, rhs):
             row = [Fraction(v) for v in row]
@@ -491,9 +550,10 @@ class TestRatMatrix:
             nums = [v.numerator * (den // v.denominator) for v in row]
             g = gcd(den, *nums)
             nums, den = [v // g for v in nums], den // g
-            scale = lcm(den, b.denominator) // den
-            target = b.numerator * (lcm(den, b.denominator) // b.denominator)
-            bound *= scale * (isqrt(sum(v * v for v in nums)) + 1) + abs(target)
+            scale = common // gcd(den, common)
+            target = b * den * scale
+            assert target.denominator == 1
+            bound *= scale * (isqrt(sum(v * v for v in nums)) + 1) + abs(target.numerator)
         limit = 2 * bound * bound
         assert limit < moduli[-1] <= limit * FIRST_PRIME**2
 
@@ -912,6 +972,30 @@ class TestExpressAgainstReference:
                     assert got == want
                 else:
                     assert got[0] == "span"
+
+
+class TestMultiDigitExpress:
+    @pytest.mark.parametrize("kind", ["new-m", "new-s"])
+    def test_hecke_images_at_weight_132_match_fraction_elimination(self, kind, monkeypatch):
+        # T_2 of each element of the longer basis has coordinates of up to
+        # about 650 bits, which take up to 23 base-(2^61 - 1) digits
+        precision = 2 * dimension_data(132).dim_modular + 8
+        short = basis_for(132, kind, precision)
+        long = basis_for(132, kind, 2 * precision)
+        moduli = []
+        reconstruct = basis_module._reconstruct_vector
+
+        def recorded(residues, m):
+            moduli.append(m)
+            return reconstruct(residues, m)
+
+        monkeypatch.setattr(basis_module, "_reconstruct_vector", recorded)
+        rows = [[el.series.coefficient(j) for el in short.elements] for j in short.window]
+        for el in long.elements:
+            image = hecke_t2(el.series, precision)
+            rhs = [image.coefficient(j) for j in short.window]
+            assert express(image, short) == gauss_solve(rows, rhs)
+        assert max(moduli) > FIRST_PRIME**20
 
 
 class TestHeckeT2:

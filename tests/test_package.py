@@ -68,13 +68,14 @@ def test_readme_example_prints_what_its_comments_say():
 
 def test_import_does_not_load_dataclasses_or_inspect():
     # every command pays for the import; pytest itself imports both modules,
-    # so the check runs in a fresh isolated interpreter
+    # so the check runs in a fresh isolated interpreter.  -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the run from writing src/ bytecode
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
         "import eisbasis; print(' '.join(sorted(set(sys.modules) - before)))"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(ROOT / "src")],
+        [sys.executable, "-I", "-B", "-c", probe, str(ROOT / "src")],
         capture_output=True,
         text=True,
         check=True,
