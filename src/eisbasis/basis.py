@@ -42,10 +42,11 @@ E.  Window row i, over d_i, is scaled by E / gcd(d_i, E), a divisor of E,
 so one inverse of E unscales every row.  From the first express() on, the
 basis keeps its window inverted modulo 2^61 - 1, or the next odd modulus
 below it, coprime to E, at which every pivot is a unit, so each form costs
-O(n^2) per digit of its coordinates in that base, read back by rational
-reconstruction.  That may be wrong, so the solve returns only numerators
-that satisfy every scaled row exactly, giving up past a Hadamard limit
-taken in bits, and express() checks every other coefficient exactly.
+O(n^2) per digit of its coordinates in that base, read back in one pass
+by rational reconstruction, as integers over one denominator.  That may be
+wrong, so the solve returns only numerators that satisfy every scaled row
+exactly, giving up past a Hadamard limit taken in bits, and express()
+checks every other coefficient exactly before it builds Fractions.
 """
 
 from __future__ import annotations
@@ -381,14 +382,17 @@ class RatMatrix:
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly: each entry of rhs passes the rational
-        gate, and _solve takes their numerators over their lcm E."""
+        gate, and _solve takes their numerators over their lcm E and returns
+        those of x over one denominator."""
         if len(rhs) != self.rows:
             raise ValueError(f"right-hand side length {len(rhs)} does not match {self.rows} rows")
-        return self._solve(*_numerators([_as_fraction(b) for b in rhs]))[0]
+        nums, den = self._solve(*_numerators([_as_fraction(b) for b in rhs]))
+        return [Fraction(v, den) for v in nums]
 
-    def _solve(self, targets, den: int) -> tuple[list[Fraction], list[int], int]:
+    def _solve(self, targets, den: int) -> tuple[list[int], int]:
         """x with self * x = targets / E (integers over one E = den > 0), by
-        p-adic lifting certified exactly, as (x, N, D) with x = N / D.
+        p-adic lifting certified exactly, as its numerators over the lcm
+        D > 0 of its denominators.
 
         Row i, numerators N_i over d_i, times s_i = E / gcd(d_i, E) is the
         integer row s_i N_i x = t_i = targets_i * d_i / gcd(d_i, E).  Every
@@ -396,14 +400,14 @@ class RatMatrix:
         _factor), s_i^-1 = gcd(d_i, E) * E^-1 mod m: one modular inverse per
         solve.  Each base-m digit y of x costs O(n^2): y solves the system
         mod m, and (t - diag(s) N y) / m is the next right-hand side (Dixon
-        lifting).  x is read back by rational reconstruction after
-        geometrically more digits, and returned only if it satisfies every
-        scaled row exactly, which certifies the rows.  Past twice a squared
-        Hadamard bound on Cramer's rule for the scaled system,
-        2 * (prod_i b_i)^2 with b_i = s_i |N_i| + |t_i|, reconstruction
-        cannot fail for a nonsingular matrix, so a candidate failing there
-        is ArithmeticError.  The limit is taken in bits, as
-        m^k >= 2^(2 * sum_i bits(b_i) + 1), at most 2n bits past the bound.
+        lifting).  After geometrically more digits x is read back over D,
+        and returned only if it satisfies every scaled row exactly, which
+        certifies the rows.  Past twice a squared Hadamard bound on Cramer's
+        rule for the scaled system, 2 * (prod_i b_i)^2 with
+        b_i = s_i |N_i| + |t_i|, reconstruction cannot fail for a
+        nonsingular matrix, so a candidate failing there is ArithmeticError.
+        The limit is taken in bits, as m^k >= 2^(2 * sum_i bits(b_i) + 1),
+        at most 2n bits past the bound.
         """
         m, inverse = self._factor(den)
         unit = pow(den, -1, m)
@@ -428,12 +432,11 @@ class RatMatrix:
                 next_try = digits + 1 + digits // 4
                 x = _reconstruct_vector(residues, modulus)
                 if x is not None:
-                    # with x = N / D over one denominator, exactly
-                    # s_i * sum_j a_ij N_j == t_i D for every row i
-                    nums, x_den = _numerators(x)
+                    # X / D solves row i when s_i * sum_j a_ij X_j == t_i D
+                    nums, x_den = x
                     rows = zip(self._rows, scales, scaled)
                     if all(s * sum(map(mul, a, nums)) == t * x_den for (a, _), s, t in rows):
-                        return x, nums, x_den
+                        return x
             if past_bound:
                 raise ArithmeticError(
                     "modular solve found no exact solution within the Hadamard bound"
@@ -529,47 +532,38 @@ def _inverse_mod(rows: list[tuple[int, ...]], m: int) -> list[list[int]] | None:
     return [row[n:] for row in a]
 
 
-def _reconstruct(u: int, m: int) -> Fraction | None:
-    """The fraction r/t with |r|, |t| <= sqrt(m/2) and r = u*t mod m, or
-    None if there is none (Wang's rational reconstruction: the extended
-    Euclidean algorithm on m and u, stopped halfway).  When it exists it is
-    unique."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+def _reconstruct_vector(residues: list[int], m: int) -> tuple[list[int], int] | None:
+    """(N, D): every residue read back as a fraction N_j / D, over the lcm
+    D > 0 of their denominators, or None at the first that has none.
 
-
-def _reconstruct_vector(residues: list[int], m: int) -> list[Fraction] | None:
-    """Every residue reconstructed, or None at the first that fails.
-
+    Residue u reads back as the r/t with |r|, |t| <= sqrt(m/2) and
+    r = u*t mod m (Wang's rational reconstruction: the extended Euclidean
+    algorithm on m and u, stopped halfway); when it exists it is unique.
     The entries of a solution often share their denominator (Cramer's
-    rule), so each residue is first scaled by the lcm T of the denominators
-    found so far: when T * x_j is a small integer it is read off at once,
+    rule), so each residue is first scaled by the lcm D of the denominators
+    found so far: when D * x_j is a small integer it is read off at once,
     with no Euclidean pass.  Past the Hadamard bound that shortcut can only
     give the true x_j; before it, the exact check catches a wrong one.
     """
     half = m // 2
     bound = isqrt(half)
-    x, den = [], 1
+    read, den = [], 1
     for u in residues:
         v = u * den % m
         if v > half:
             v -= m
-        if abs(v) <= bound:
-            x.append(Fraction(v, den))
-            continue
-        value = _reconstruct(u, m)
-        if value is None:
-            return None
-        x.append(value)
-        den = lcm(den, value.denominator)
-    return x
+        if abs(v) > bound:
+            r0, r1, t0, t1 = m, u, 0, 1
+            while r1 > bound:
+                q, r = divmod(r0, r1)
+                r0, r1 = r1, r
+                t0, t1 = t1, t0 - q * t1
+            if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+                return None
+            den = lcm(den, t1)
+            v = r1 * den // t1
+        read.append((v, den))
+    return [v * (den // d) for v, d in read], den
 
 
 class VerificationReport(Record):
@@ -656,11 +650,12 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     """Coordinates of `target` in `basis`, certified by over-verification.
 
     The square system on the target's numerators in ``basis.window`` is
-    solved, and certified, by RatMatrix._solve; its integer numerators are
-    then compared, over common denominators, against every other
-    coefficient of the target, so the basis must be as long as the target.
-    Any mismatch raises SpanError carrying the first bad index: the input
-    is not in the span, i.e. not a modular form of this weight.
+    solved, and certified, by RatMatrix._solve; the integer numerators N
+    over one denominator D it returns are then compared, over common
+    denominators, against every other coefficient of the target, so the
+    basis must be as long as the target.  Any mismatch raises SpanError
+    carrying the first bad index: the input is not in the span, i.e. not a
+    modular form of this weight.  Only then are the N_j / D built.
     """
     if target.weight != basis.weight:
         raise ValueError(
@@ -670,7 +665,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     count = len(basis.elements)
     limit = target.precision
     start, stop = basis.window.start, basis.window.stop
-    coords, nums, scale = [], [], 1
+    nums, den, scale = [], 1, 1
     if count:
         if basis.precision < limit:
             raise ValueError(
@@ -678,12 +673,12 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"rebuild with precision >= {limit}"
             )
         common, columns, matrix = basis._express_system
-        coords, nums, den = matrix._solve(target.numerators[start:stop], target.denominator)
+        nums, den = matrix._solve(target.numerators[start:stop], target.denominator)
         scale = den * common
-    # the solve certified the window exactly; off it, with coords = N / D and
-    # t_j = T_j / E, sum(N * columns[j]) / (D * L) must equal T_j / E
+    # the solve certified the window exactly; off it, with coordinates N / D
+    # and t_j = T_j / E, sum(N * columns[j]) / (D * L) must equal T_j / E
     for j in [*range(start), *range(stop, limit)]:
         total = sum(map(mul, nums, columns[j])) if count else 0
         if total * target.denominator != target.numerators[j] * scale:
             raise SpanError(j, target.coefficient(j), Fraction(total, scale))
-    return coords
+    return [Fraction(v, den) for v in nums]

@@ -489,15 +489,30 @@ class TestRatMatrix:
 
     def test_integer_core_matches_the_rational_gate(self):
         # targets over a denominator that is not their lcm give the same x,
-        # with its numerators over one denominator
+        # as its numerators over the lcm of its denominators
         rows = [[Fraction(1, 3), 2], [5, Fraction(7, 4)]]
         matrix = rat_matrix(rows)
         rhs = [Fraction(1, 2), Fraction(-3, 5)]
         x = matrix.solve(rhs)
         for scale in (1, 3, 4, 12, FIRST_PRIME):
-            coords, nums, den = matrix._solve([5 * scale, -6 * scale], 10 * scale)
+            nums, den = matrix._solve([5 * scale, -6 * scale], 10 * scale)
+            coords = [Fraction(v, den) for v in nums]
             assert coords == x == gauss_solve(rows, rhs)
-            assert [Fraction(v, den) for v in nums] == x
+            assert den == lcm(*[v.denominator for v in x])
+
+    def test_shared_denominator_shortcut_past_the_wang_bound(self, monkeypatch):
+        # p * q is above the one-digit Wang bound 2^30, so 1 / (p * q) can be
+        # read back at the first modulus only as 1 over the lcm of the
+        # denominators found before it; Wang alone gives a wrong fraction
+        p, q = 1048573, 1048571
+        read = basis_module._reconstruct_vector
+        residues = [pow(d, -1, FIRST_PRIME) for d in (p, q, p * q)]
+        assert read(residues, FIRST_PRIME) == ([q, p, 1], p * q)
+        assert read(residues[2:], FIRST_PRIME) == ([-2097168], 102760207)
+        calls = counted_calls(monkeypatch, "_reconstruct_vector")
+        x = rat_matrix([[p, 0, 0], [0, q, 0], [0, 0, p * q]]).solve([1, 1, 1])
+        assert x == [Fraction(1, p), Fraction(1, q), Fraction(1, p * q)]
+        assert [m for _, m in calls] == [FIRST_PRIME]
 
     def test_solve_one_by_one(self):
         assert rat_matrix([[3]]).solve([5]) == [Fraction(5, 3)]
@@ -511,7 +526,7 @@ class TestRatMatrix:
         # a reconstruction that is always wrong must end in ArithmeticError at
         # the Hadamard bound, neither looping on nor returning its candidate
         monkeypatch.setattr(
-            basis_module, "_reconstruct_vector", lambda residues, m: [Fraction(0)] * len(residues)
+            basis_module, "_reconstruct_vector", lambda residues, m: ([0] * len(residues), 1)
         )
         with pytest.raises(ArithmeticError):
             rat_matrix([[1, 2], [3, 4]]).solve([1, 1])
@@ -535,7 +550,7 @@ class TestRatMatrix:
 
         def wrong(residues, m):
             moduli.append(m)
-            return [Fraction(0)] * len(residues)
+            return [0] * len(residues), 1
 
         monkeypatch.setattr(basis_module, "_reconstruct_vector", wrong)
         with pytest.raises(ArithmeticError):
@@ -996,6 +1011,33 @@ class TestMultiDigitExpress:
             rhs = [image.coefficient(j) for j in short.window]
             assert express(image, short) == gauss_solve(rows, rhs)
         assert max(moduli) > FIRST_PRIME**20
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_unrelated_150_bit_coordinates_at_weight_48(self, kind, monkeypatch):
+        # distinct odd denominators share no factor, so every coordinate
+        # takes its own Euclidean pass at a modulus of several digits
+        rng = random.Random(4801 + list(BasisKind).index(kind))
+        precision = 2 * dimension_data(48).dim_modular + 8
+        basis = basis_for(48, kind, precision)
+        dens = [rng.getrandbits(150) | 1 << 149 | 1 for _ in basis.elements]
+        assert len(set(dens)) == len(dens)
+        coords = [
+            Fraction(rng.choice((-1, 1)) * (rng.getrandbits(150) | 1 << 149), d) for d in dens
+        ]
+        target = QSeries(48, (0,) * precision)
+        for c, el in zip(coords, basis.elements):
+            target = target + c * el.series
+        calls = counted_calls(monkeypatch, "_reconstruct_vector")
+        assert express(target, basis) == coords
+        # a 150-bit numerator over a 150-bit denominator needs a modulus
+        # above 2^301: five base-(2^61 - 1) digits at least
+        assert calls[-1][1] >= FIRST_PRIME**5
+        start, stop = basis.window.start, basis.window.stop
+        for index in (rng.randrange(start, stop), rng.randrange(stop, precision)):
+            bad = bump(target, index)
+            got = outcome(express, bad, basis)
+            assert got[0] == "span"
+            assert got == outcome(reference_express, bad, basis), index
 
 
 class TestHeckeT2:

@@ -13,7 +13,7 @@ import pytest
 import eisbasis.arith
 import eisbasis.basis
 import eisbasis.cli
-from eisbasis import QSeries, basis_for, eisenstein
+from eisbasis import QSeries, basis_for, eisenstein, verify_basis
 from eisbasis.basis import BasisKind
 from eisbasis.cli import (
     basis_from_document,
@@ -552,6 +552,20 @@ class TestVerifyCommand:
         monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(eisbasis.basis.basis_for, 4))
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "4")
         assert code == 1
+
+    def test_verify_lines_agree_with_confirmed_reports(self, capsys, monkeypatch):
+        # verify prints its own checks and never reads
+        # VerificationReport.confirmed, so the two must not drift apart
+        clean = eisbasis.basis.basis_for
+        for weight in range(4, 38, 2):
+            assert all(verify_basis(weight, kind).confirmed for kind in BasisKind), weight
+        for weight in range(4, 38, 2):
+            monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(clean, weight))
+            _, out, _ = run_cli(capsys, "verify", "--max-weight", "36")
+            lines = dict(zip(range(4, 38, 2), out.splitlines()))
+            confirmed = all(verify_basis(weight, kind).confirmed for kind in BasisKind)
+            assert lines.pop(weight).endswith("FAIL") == (not confirmed), weight
+            assert all(line.endswith("pass") for line in lines.values()), weight
 
     def test_dimension_mismatch_fails(self, capsys, monkeypatch):
         # the dim check compares new-m's element count with the independent
