@@ -31,6 +31,8 @@ its determinant is a_0(G_2k) times the new-s determinant over a_1..a_n.
 That holds for any c_i (an element's correction, or 0 if it has none), so
 it serves whenever the constant terms vanish; with c_i the cusp correction
 the rows are the new-m products, whose entries are a few times smaller.
+They are integer rows: N_i L/D_i - p_i g L/(q_i d) over L = lcm(D_i, q_i d),
+for S_i = N_i/D_i, c_i = p_i/q_i and G_2k = g/d, each cancelled once.
 The last four determinants are kept, keyed by their exact integer rows, so
 certifying new-s after new-m and classical, as verify does, repeats no
 elimination.  Unlike the series caches the memo is bounded, and a hit
@@ -60,7 +62,7 @@ from operator import mul
 from ._record import Record
 from .arith import _check_weight, _is_int, dimension_data, sigma
 from .eisenstein import eisenstein, eisenstein_product
-from .qseries import QSeries, _as_fraction, _numerators
+from .qseries import QSeries, _as_fraction, _lowest_terms, _numerators
 
 
 class BasisKind(str, Enum):
@@ -353,13 +355,12 @@ class RatMatrix:
         for numerators, den in rows:
             if len(numerators) != n:
                 raise ValueError(f"matrix must be square: {n} rows, a row of {len(numerators)}")
-            if bool in map(type, (den, *numerators)):
-                raise TypeError("bool values are not allowed; use Fraction or int")
+            if {*map(type, (den, *numerators))} != {int}:
+                bad = next(type(v) for v in (den, *numerators) if type(v) is not int)
+                raise TypeError(f"{bad.__name__} values are not allowed; use Fraction or int")
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
-            # gcd takes integers only: a float entry raises TypeError here
-            g = gcd(den, *numerators)
-            cleared.append((tuple([v // g for v in numerators]), den // g))
+            cleared.append(_lowest_terms(numerators, den))
         self._rows = tuple(cleared)
         self._kept = None
 
@@ -606,12 +607,16 @@ def verify_report(basis: Basis) -> VerificationReport:
     if count:
         start, stop = basis.window.start, basis.window.stop
         series, a0 = [el.series for el in basis.elements], 1
+        rows = [(s.numerators[start:stop], s.denominator) for s in series]
         if vanish:
             g = eisenstein(basis.weight, basis.precision)
-            corrections = [getattr(el.descriptor, "c", 0) for el in basis.elements]
-            series = [g] + [s - c * g for s, c in zip(series, corrections)]
-            start, a0 = 0, g.coefficient(0)
-        rows = [(s.numerators[start:stop], s.denominator) for s in series]
+            d, top, a0 = g.denominator, g.numerators[:stop], g.coefficient(0)
+            rows = [(top, d)]
+            for s, el in zip(series, basis.elements):
+                c = getattr(el.descriptor, "c", 0)
+                den = lcm(s.denominator, c.denominator * d)
+                a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
+                rows.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
         det = RatMatrix(rows).determinant() / a0
     return VerificationReport(basis.weight, basis.kind, count, det, vanish)
 

@@ -88,12 +88,28 @@ def _rational_parts(text: str) -> tuple[int, int]:
     return (-numerator if sign else numerator), denominator
 
 
+def _coefficient_parts(series: QSeries) -> list[tuple[int, int]]:
+    """Each coefficient v_j / D as its lowest-terms (numerator, denominator),
+    by one full-size gcd: for g = gcd(P, D), P the product of the nonzero
+    v_j mod D, gcd(v_j, D) = gcd(v_j, g), and g is 1 for most series."""
+    numerators, den, product = series.numerators, series.denominator, 1
+    for v in filter(None, numerators):
+        product = product * (v % den) % den
+    g = gcd(product, den)
+    shared = [gcd(v, g) if v else den for v in numerators]
+    return [(v // h, den // h) for v, h in zip(numerators, shared)]
+
+
+def _coefficient_texts(series: QSeries) -> list[str]:
+    """format_rational of each coefficient, each denominator's text made once."""
+    parts = _coefficient_parts(series)
+    tails = {d: f"/{d}" if d != 1 else "" for d in {d for _, d in parts}}
+    return [f"{n}{tails[d]}" for n, d in parts]
+
+
 def series_to_document(series: QSeries) -> dict:
-    return {
-        "weight": series.weight,
-        "precision": series.precision,
-        "coefficients": [format_rational(c) for c in series.coeffs],
-    }
+    texts = _coefficient_texts(series)
+    return {"weight": series.weight, "precision": series.precision, "coefficients": texts}
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -123,7 +139,7 @@ def series_from_document(obj) -> QSeries:
         raise ValueError(
             f"document precision {precision} does not match {len(coefficients)} coefficients"
         )
-    # integers straight into the series: no Fraction is built and taken apart
+    # integers straight into the series, already in lowest terms over the lcm
     parts = [_rational_parts(c) for c in coefficients]
     _check_weight(weight)
     if not parts:
@@ -162,7 +178,7 @@ def basis_to_document(basis: Basis) -> dict:
             {
                 "descriptor": _descriptor_document(el.descriptor),
                 "label": el.descriptor.label(),
-                "coefficients": [format_rational(c) for c in el.series.coeffs],
+                "coefficients": _coefficient_texts(el.series),
             }
             for el in basis.elements
         ],
@@ -234,11 +250,11 @@ def basis_from_document(obj) -> Basis:
             )
     basis = basis_for(weight, kind, precision)
     for index, (entry, el) in enumerate(zip(entries, basis.elements)):
-        label = el.descriptor.label()
-        for j, (text, value) in enumerate(zip(entry["coefficients"], el.series.coeffs)):
-            if parse_rational(text) != value:
+        parts = _coefficient_parts(el.series)
+        for j, (text, want) in enumerate(zip(entry["coefficients"], parts)):
+            if _rational_parts(text) != want:
                 raise ValueError(
-                    f"element {index} ({label}) differs from what its "
+                    f"element {index} ({el.descriptor.label()}) differs from what its "
                     f"descriptor gives at coefficient index {j}"
                 )
     return basis
@@ -283,7 +299,7 @@ def _cmd_basis(args) -> int:
             cell = el.descriptor.label()
             if c:
                 cell = f"G_{doc['u']}*G_{doc['v']} + c*G_{doc['u'] + doc['v']}"
-            writer.writerow([cell, c] + [format_rational(x) for x in el.series.coeffs])
+            writer.writerow([cell, c] + _coefficient_texts(el.series))
     else:
         print(
             f"# basis weight={basis.weight} kind={basis.kind.value} "
@@ -291,7 +307,7 @@ def _cmd_basis(args) -> int:
         )
         for el in basis.elements:
             print(el.descriptor.label())
-            print("    " + ", ".join(format_rational(x) for x in el.series.coeffs))
+            print("    " + ", ".join(_coefficient_texts(el.series)))
     return 0
 
 

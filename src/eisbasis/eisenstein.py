@@ -18,10 +18,10 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     """The weight-`weight` Eisenstein series, truncated to `precision` terms.
 
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
-    term -B_weight/(2*weight) by the same divisor-sum convention, and its
-    denominator is the series'.  Results are cached, keyed by type too, so
-    a 16.0 is never answered by the 16 entry; the returned series is
-    immutable and safe to share.
+    term -B_weight/(2*weight) by the same divisor-sum convention, whose
+    reduced denominator puts the series in lowest terms.  Results are
+    cached, keyed by type too, so a 16.0 is never answered by the 16 entry;
+    the returned series is immutable and safe to share.
     """
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:

@@ -8,9 +8,13 @@ A series is stored as a tuple of integer numerators over one positive
 common denominator, in lowest terms: gcd(denominator, *numerators) == 1.
 That form is canonical, so two series with equal coefficients compare and
 hash equal however they were built.  Addition, negation, scaling,
-truncation and multiplication work on those integers alone; `coeffs` and
-`coefficient()` build Fractions only at the API edge, for callers that
-read them, and the constructor still accepts any ints and Fractions.
+truncation and multiplication work on those integers alone.  A sum, a
+series product or a truncation may leave a content, a factor of the
+denominator and every numerator, which _lowest_terms cancels with one
+full-size gcd per series; negation keeps lowest terms, and scaling by p/q
+cancels just gcd(p, denominator) * gcd(q, *numerators), all it can make.
+`coeffs` and `coefficient()` build Fractions only at the API edge, for callers
+that read them, and the constructor still accepts any ints and Fractions.
 
 Series-by-series multiplication uses Kronecker substitution: the integer
 numerators of each operand are packed into a single Python int (one
@@ -72,13 +76,23 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
+def _lowest_terms(numerators, denominator: int) -> tuple[tuple[int, ...], int]:
+    """numerators / denominator (denominator > 0) in lowest terms: one divmod
+    pass checks and divides out gcd(denominator, first and last numerator);
+    only a remainder falls back to the gcd of all, and 1 divides nothing."""
+    g = gcd(denominator, numerators[0], numerators[-1])
+    if g == 1:
+        return tuple(numerators), denominator
+    parts = [divmod(v, g) for v in numerators]
+    if any(r for _, r in parts):
+        g = gcd(g, *numerators)
+        return tuple([v // g for v in numerators]), denominator // g
+    return tuple([q for q, _ in parts]), denominator // g
+
+
 def _series(weight: int, numerators, denominator: int) -> QSeries:
-    """The series numerators / denominator (denominator > 0), brought to
-    lowest terms.  The weight is taken as given."""
-    g = gcd(denominator, *numerators)
-    if g != 1:
-        numerators = [v // g for v in numerators]
-        denominator //= g
+    """The series numerators / denominator, given in lowest terms with
+    denominator > 0.  The weight is taken as given."""
     series = object.__new__(QSeries)
     Record.__init__(series, weight, tuple(numerators), denominator)
     return series
@@ -126,7 +140,7 @@ class QSeries(Record):
     def truncate(self, precision: int) -> QSeries:
         if not _is_int(precision) or not 1 <= precision <= len(self.numerators):
             raise ValueError(f"cannot truncate precision {len(self.numerators)} to {precision}")
-        return _series(self.weight, self.numerators[:precision], self.denominator)
+        return _series(self.weight, *_lowest_terms(self.numerators[:precision], self.denominator))
 
     def __add__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
@@ -136,7 +150,7 @@ class QSeries(Record):
         den = lcm(self.denominator, other.denominator)
         sa, sb = den // self.denominator, den // other.denominator
         numerators = [a * sa + b * sb for a, b in zip(self.numerators, other.numerators)]
-        return _series(self.weight, numerators, den)
+        return _series(self.weight, *_lowest_terms(numerators, den))
 
     def __neg__(self) -> QSeries:
         return _series(self.weight, [-a for a in self.numerators], self.denominator)
@@ -150,12 +164,12 @@ class QSeries(Record):
         if isinstance(other, QSeries):
             n = min(len(self.numerators), len(other.numerators))
             product = _kronecker(self.numerators[:n], other.numerators[:n])
-            return _series(
-                self.weight + other.weight, product, self.denominator * other.denominator
-            )
+            den = self.denominator * other.denominator
+            return _series(self.weight + other.weight, *_lowest_terms(product, den))
         c = _as_fraction(other)
-        numerators = [a * c.numerator for a in self.numerators]
-        return _series(self.weight, numerators, self.denominator * c.denominator)
+        g, h = gcd(c.numerator, self.denominator), gcd(c.denominator, *self.numerators)
+        p, den = c.numerator // g, self.denominator // g * (c.denominator // h)
+        return _series(self.weight, [a // h * p for a in self.numerators], den)
 
     __rmul__ = __mul__
 

@@ -236,6 +236,9 @@ class TestRatMatrix:
     def test_rejects_floats_and_ragged_rows(self):
         with pytest.raises(TypeError):
             RatMatrix([([0.5], 1)])
+        # a float between integer ends would pass the content's divmod
+        with pytest.raises(TypeError, match="^float values are not allowed"):
+            RatMatrix([([2, 4.0], 2), ([0, 1], 1)])
         with pytest.raises(ValueError):
             RatMatrix([([1, 2], 1), ([3], 1)])
         with pytest.raises(ValueError):

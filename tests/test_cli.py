@@ -16,6 +16,8 @@ import eisbasis.cli
 from eisbasis import QSeries, basis_for, eisenstein, verify_basis
 from eisbasis.basis import BasisKind
 from eisbasis.cli import (
+    _coefficient_parts,
+    _coefficient_texts,
     basis_from_document,
     basis_to_document,
     format_rational,
@@ -106,6 +108,31 @@ class TestSeriesDocuments:
             del doc[key]
             with pytest.raises(ValueError, match=key):
                 series_from_document(doc)
+
+
+class TestCoefficientTexts:
+    """Documents render coefficients from a series' integers with one
+    full-size gcd per series; every text must be what str() of the
+    coefficient's Fraction gives."""
+
+    def test_every_basis_to_weight_120_renders_as_its_fractions(self):
+        shared = 0
+        for weight in range(4, 122, 2):
+            for kind in BasisKind:
+                for el in basis_for(weight, kind).elements:
+                    coeffs = el.series.coeffs
+                    assert _coefficient_texts(el.series) == [str(c) for c in coeffs]
+                    parts = _coefficient_parts(el.series)
+                    assert parts == [(c.numerator, c.denominator) for c in coeffs]
+                    shared += any(d != el.series.denominator for n, d in parts if n)
+        # many elements have a coefficient whose lowest terms drop a factor
+        assert shared > 100
+
+    def test_documents_leave_the_fraction_cache_empty(self):
+        basis = basis_for(36, BasisKind.NEW_S, 16)
+        basis_to_document(basis)
+        series_to_document(basis.elements[0].series)
+        assert all("coeffs" not in vars(el.series) for el in basis.elements)
 
 
 class TestBasisDocuments:

@@ -5,6 +5,10 @@ checks canonical form structurally.  It must accept and reject exactly the
 strings the definition below does, which parsed the string with Fraction
 and compared it with str() of the result, and with the same messages.
 
+Coefficient texts, rendered from a series' integers with one full-size gcd
+per series, must be the strings of the coefficients' Fractions, both when
+no coefficient drops a factor of the denominator and when some do.
+
 Basis and series documents with one mutation applied must be rejected as
 input errors: the loader raises ValueError, the express command exits 2,
 and neither raises anything else or accepts the document.
@@ -18,15 +22,18 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from eisbasis import Basis, basis_for, dimension_data  # noqa: E402
+from eisbasis import Basis, QSeries, basis_for, dimension_data  # noqa: E402
 from eisbasis.basis import BasisKind  # noqa: E402
 from eisbasis.cli import (  # noqa: E402
+    _coefficient_parts,
+    _coefficient_texts,
     basis_from_document,
     basis_to_document,
     format_rational,
@@ -91,6 +98,48 @@ def test_digit_limit_errors_are_unchanged():
     for text in (huge, f"1/{huge}", f"2{huge}/4", f"-{huge}\n"):
         assert outcome(parse_rational, text) == outcome(reference_parse, text)
         assert "limit" in outcome(parse_rational, text)[1]
+
+
+# --- coefficient texts -----------------------------------------------------
+
+# products of powers of 2, 3 and 691, the primes that Bernoulli numbers put
+# into the cusp basis's denominators
+smooth = st.builds(
+    lambda a, b, c: 2**a * 3**b * 691**c, st.integers(0, 8), st.integers(0, 5), st.integers(0, 2)
+)
+
+
+@st.composite
+def integer_series(draw):
+    """Series over D = 1, a smooth D or a large D, with zero, negative and
+    smooth-sharing numerators, built through the Fraction constructor."""
+    den = draw(st.one_of(st.just(1), smooth, st.integers(1, 10**30)))
+    numerator = st.one_of(
+        st.just(0),
+        st.integers(-(10**40), 10**40),
+        st.builds(lambda k, v: k * v, smooth, st.integers(-(10**6), 10**6)),
+    )
+    numerators = draw(st.lists(numerator, min_size=1, max_size=12))
+    return QSeries(4, [Fraction(v, den) for v in numerators])
+
+
+rendering_branches = set()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(integer_series())
+def check_rendering(series):
+    nonzero = [v for v in series.numerators if v]
+    # g > 1: some coefficient's lowest terms drop a factor of D
+    rendering_branches.add(gcd(prod(nonzero), series.denominator) > 1)
+    assert _coefficient_texts(series) == [str(c) for c in series.coeffs]
+    assert _coefficient_parts(series) == [(c.numerator, c.denominator) for c in series.coeffs]
+
+
+def test_coefficient_texts_are_the_fractions_strings_on_both_branches():
+    rendering_branches.clear()
+    check_rendering()
+    assert rendering_branches == {False, True}
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,14 @@ Series are drawn with signed rational coefficients, all-zero series and
 precision 1 included.  Every operation on the integer-numerator form must
 give the coefficients the Fraction computation gives, and the stored form
 must stay in lowest terms, so that equal values built by different routes
-compare and hash equal.
+compare and hash equal.  Scalars and series are also drawn to share prime
+powers, so that a scalar's numerator meets the series' denominator and its
+denominator meets the numerators' content.
+
+The lowest-terms routine that series and RatMatrix rows share guesses the
+content from the denominator and the two end numerators; rows given as k
+times a row, and rows whose ends share a factor the middle lacks, must
+come out as the gcd of the whole row gives them, on both branches.
 """
 
 from fractions import Fraction
@@ -15,7 +22,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from eisbasis import QSeries  # noqa: E402
+from eisbasis import QSeries, RatMatrix  # noqa: E402
+from eisbasis.qseries import _lowest_terms  # noqa: E402
 from helpers import schoolbook_product  # noqa: E402
 
 rationals = st.one_of(
@@ -23,7 +31,15 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
     st.builds(Fraction, st.integers(-(2**80), 2**80), st.sampled_from([1, 240, 691, 2**61 - 1])),
 )
-scalars = st.one_of(st.integers(-50, 50), rationals)
+# scalars whose numerator or denominator shares prime powers with the
+# contented series below
+shared = st.sampled_from([
+    Fraction(240**3, 691),
+    Fraction(691, 240),
+    Fraction(-(2**7) * 691, 3**4),
+    Fraction(3**4, 2**7 * 691),
+])
+scalars = st.one_of(st.integers(-50, 50), rationals, shared)
 
 
 @st.composite
@@ -31,6 +47,16 @@ def series(draw, weight=4):
     if draw(st.integers(0, 9)) == 0:
         return QSeries(weight, (0,) * draw(st.integers(1, 12)))
     return QSeries(weight, draw(st.lists(rationals, min_size=1, max_size=12)))
+
+
+@st.composite
+def contented_series(draw, weight=4):
+    """Series whose numerators share a factor k, over a denominator that
+    shares prime powers with the scalars above."""
+    k = draw(st.sampled_from([1, 240, 691, 2**7 * 3**4, 240**3 * 691]))
+    den = draw(st.sampled_from([1, 240, 691, 2**5 * 3, 240**3]))
+    numerators = draw(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12))
+    return QSeries(weight, [Fraction(k * v, den) for v in numerators])
 
 
 def assert_canonical(s: QSeries) -> None:
@@ -58,9 +84,7 @@ def test_add_sub_neg(a, b):
     check(-a, 4, [-p for p in x])
 
 
-@common
-@given(series(), scalars)
-def test_scalar_multiply_and_divide(a, c):
+def check_scalar(a, c):
     x = a.coeffs
     check(a * c, 4, [p * c for p in x])
     check(c * a, 4, [c * p for p in x])
@@ -69,6 +93,19 @@ def test_scalar_multiply_and_divide(a, c):
     else:
         with pytest.raises(ZeroDivisionError):
             a / c
+
+
+@common
+@given(series(), scalars)
+def test_scalar_multiply_and_divide(a, c):
+    check_scalar(a, c)
+
+
+@common
+@given(contented_series(), st.one_of(shared, scalars))
+def test_scalar_cancels_only_the_content_it_meets(a, c):
+    check_scalar(a, c)
+    check(-a, 4, [-p for p in a.coeffs])
 
 
 @common
@@ -97,3 +134,40 @@ def test_equal_values_by_different_routes_are_equal(a, b, c):
     for s in routes:
         assert s == routes[0]
         assert hash(s) == hash(routes[0])
+
+
+def reference_row(numerators, den):
+    g = gcd(den, *numerators)
+    return tuple(v // g for v in numerators), den // g
+
+
+lowest_terms_branches = set()
+
+
+@common
+@given(
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8),
+    st.integers(1, 10**20),
+    st.sampled_from([1, 2, 240, 691, 2**61 - 1, 240**3 * 691]),
+    st.sampled_from([1, 3, 7 * 691, 2**64]),
+)
+def check_lowest_terms(numerators, den, k, end):
+    """The row as drawn, as k * row over k * den, and with both ends times
+    `end` over den times `end`, so the guess may exceed the content."""
+    ends = list(numerators)
+    ends[0] *= end
+    ends[-1] *= end
+    for row, d in ((numerators, den), ([k * v for v in numerators], k * den), (ends, den * end)):
+        want = reference_row(row, d)
+        got_numerators, got_den = _lowest_terms(list(row), d)
+        assert (tuple(got_numerators), got_den) == want
+        assert RatMatrix([(row, d)] + [([0] * len(row), 1)] * (len(row) - 1))._rows[0] == want
+        guess, content = gcd(d, row[0], row[-1]), d // want[1]
+        branch = "none" if guess == 1 else "exact" if guess == content else "large"
+        lowest_terms_branches.add(branch)
+
+
+def test_lowest_terms_matches_the_gcd_of_the_whole_row():
+    lowest_terms_branches.clear()
+    check_lowest_terms()
+    assert lowest_terms_branches == {"none", "exact", "large"}
