@@ -285,29 +285,27 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    basis = basis_for(args.weight, args.kind, args.prec)
+    doc = basis_to_document(basis_for(args.weight, args.kind, args.prec))
+    elements = doc["elements"]
     if args.format == "json":
-        print(json.dumps(basis_to_document(basis), indent=2))
+        print(json.dumps(doc, indent=2))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["descriptor", "c"] + [f"a_{i}" for i in range(basis.precision)])
-        for el in basis.elements:
-            doc = _descriptor_document(el.descriptor)
-            c = doc.get("c", "")
+        writer.writerow(["descriptor", "c"] + [f"a_{i}" for i in range(doc["precision"])])
+        for el in elements:
+            d = el["descriptor"]
             # the c column carries the correction, so the descriptor cell
             # keeps a symbolic placeholder
-            cell = el.descriptor.label()
-            if c:
-                cell = f"G_{doc['u']}*G_{doc['v']} + c*G_{doc['u'] + doc['v']}"
-            writer.writerow([cell, c] + _coefficient_texts(el.series))
+            cell = f"G_{d['u']}*G_{d['v']} + c*G_{d['u'] + d['v']}" if "c" in d else el["label"]
+            writer.writerow([cell, d.get("c", "")] + el["coefficients"])
     else:
         print(
-            f"# basis weight={basis.weight} kind={basis.kind.value} "
-            f"precision={basis.precision} elements={len(basis.elements)}"
+            f"# basis weight={doc['weight']} kind={doc['kind']} "
+            f"precision={doc['precision']} elements={len(elements)}"
         )
-        for el in basis.elements:
-            print(el.descriptor.label())
-            print("    " + ", ".join(_coefficient_texts(el.series)))
+        for el in elements:
+            print(el["label"])
+            print("    " + ", ".join(el["coefficients"]))
     return 0
 
 

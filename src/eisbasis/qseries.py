@@ -61,7 +61,7 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """
     n = len(a)
     bound = n * max(map(abs, a)) * max(map(abs, b))
-    if bound == 0:
+    if bound == 0:  # a zero operand: the other need not fit a zero product's slot
         return [0] * n
     width = (bound.bit_length() + 8) // 8
     half = 1 << (8 * width - 1)

@@ -5,16 +5,17 @@ Bernoulli numbers come from the full recurrence over all indices, divisor
 sums from exhaustive enumeration, series products from the schoolbook
 convolution sum, determinants from Leibniz expansion, linear solves from
 Gaussian elimination over Fractions, and the discriminant cusp form from
-the unit-normalized series combination.  The
-Hecke operator T_2 acts on coefficients directly; its traces take express()
-as given and check that the series it is fed are modular forms at all.
+the unit-normalized series combination.  The Hecke operators T_p act on
+coefficients directly, and the traces express() gives them are checked
+against the Eichler-Selberg trace formula, with Hurwitz class numbers
+counted from reduced binary quadratic forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 from eisbasis import (
     Basis,
@@ -57,38 +58,95 @@ def delta_series(precision: int) -> QSeries:
     return (e4**3 - e6**2) / 1728
 
 
-def hecke_t2(series: QSeries, precision: int) -> QSeries:
-    """T_2 of a weight-w series to `precision` terms (it reads 2 * precision - 1):
-    b(n) = a(2n) + 2^(w-1) a(n/2), the second term for even n only."""
-    scale = 2 ** (series.weight - 1)
+def hecke(series: QSeries, p: int, precision: int) -> QSeries:
+    """T_p of a weight-w series to `precision` terms (it reads p * precision - p + 1):
+    b(n) = a(pn) + p^(w-1) a(n/p), the second term for n divisible by p only."""
+    scale = p ** (series.weight - 1)
     coeffs = [
-        series.coefficient(2 * n) + (scale * series.coefficient(n // 2) if n % 2 == 0 else 0)
+        series.coefficient(p * n) + (scale * series.coefficient(n // p) if n % p == 0 else 0)
         for n in range(precision)
     ]
     return QSeries(series.weight, coeffs)
 
 
-def t2_traces(weight: int, kind, powers: int) -> list[Fraction]:
-    """tr(T_2^k) for k = 1..powers in the `kind` basis at `weight`.
+def hecke_traces(weight: int, kind, p: int, powers: int) -> list[Fraction]:
+    """tr(T_p^k) for k = 1..powers in the `kind` basis at `weight`.
 
-    T_2 of each element of the basis built at 2P terms, expressed in the
-    basis built at P = 2 * dim_modular + 8, is one row of T_2's matrix (its
+    T_p of each element of the basis built at pP terms, expressed in the
+    basis built at P = 2 * dim_modular + 8, is one row of T_p's matrix (its
     transpose, which has the same traces); the powers are taken over
     Fractions.
     """
     precision = 2 * dimension_data(weight).dim_modular + 8
     short = basis_for(weight, kind, precision)
-    long = basis_for(weight, kind, 2 * precision)
-    matrix = [express(hecke_t2(el.series, precision), short) for el in long.elements]
+    long = basis_for(weight, kind, p * precision)
+    matrix = [express(hecke(el.series, p, precision), short) for el in long.elements]
     n = len(matrix)
     traces, power = [], matrix
-    for _ in range(powers):
+    while True:
         traces.append(sum((power[i][i] for i in range(n)), Fraction(0)))
+        if len(traces) == powers:
+            return traces
         power = [
             [sum((row[l] * matrix[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
             for row in power
         ]
-    return traces
+
+
+def hurwitz_class_number(n: int) -> Fraction:
+    """H(n) for n = 0 or n > 0 with n = 0, 3 mod 4: the number of reduced
+    forms ax^2 + bxy + cy^2 with b^2 - 4ac = -n, that is |b| <= a <= c and
+    b >= 0 when |b| = a or a = c.  A form that is a multiple of x^2 + y^2
+    counts 1/2, one that is a multiple of x^2 + xy + y^2 counts 1/3, and
+    H(0) = -1/12."""
+    if n == 0:
+        return Fraction(-1, 12)
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:  # a reduced form has n = 4ac - b^2 >= 3a^2
+        for b in range(1 - a, a + 1):
+            c, r = divmod(b * b + n, 4 * a)
+            if r or c < a or (c == a and b < 0):
+                continue
+            total += Fraction(1, 2) if c == a and b == 0 else Fraction(1, 3) if c == a == b else 1
+        a += 1
+    return total
+
+
+def eichler_selberg_trace(weight: int, n: int) -> Fraction:
+    """Tr(T_n | S_k) at level one, k = weight even and >= 4, by the
+    Eichler-Selberg trace formula
+
+        -1/2 sum_{t^2 <= 4n} P_k(t, n) H(4n - t^2) - 1/2 sum_{dd' = n} min(d, d')^(k-1),
+
+    P_k(t, n) the coefficient of x^(k-2) in 1 / (1 - tx + nx^2)."""
+
+    def p_k(t: int) -> int:
+        previous, current = 0, 1  # the coefficients of x^-1 and x^0
+        for _ in range(weight - 2):
+            previous, current = current, t * current - n * previous
+        return current
+
+    bound = isqrt(4 * n)
+    classes = sum(p_k(t) * hurwitz_class_number(4 * n - t * t) for t in range(-bound, bound + 1))
+    divisors = sum(min(d, n // d) ** (weight - 1) for d in range(1, n + 1) if n % d == 0)
+    return -(classes + divisors) / 2
+
+
+def trace_formula_mismatches(p: int, weights) -> list[tuple]:
+    """(weight, kind, trace, formula) for every weight and kind at which the
+    trace of T_p that express() gives differs from the Eichler-Selberg
+    formula; new-m and classical span G_w too, whose eigenvalue 1 + p^(w-1)
+    adds to the cusp trace."""
+    mismatches = []
+    for weight in weights:
+        cusp = eichler_selberg_trace(weight, p)
+        for kind in BasisKind:
+            want = cusp if kind is BasisKind.NEW_S else cusp + 1 + p ** (weight - 1)
+            got = hecke_traces(weight, kind, p, 1)[0]
+            if got != want:
+                mismatches.append((weight, kind.value, got, want))
+    return mismatches
 
 
 def schoolbook_product(a: QSeries, b: QSeries) -> QSeries:

@@ -37,10 +37,12 @@ from helpers import (
     bernoulli_table,
     delta_series,
     det_leibniz,
+    eichler_selberg_trace,
     gauss_solve,
-    hecke_t2,
+    hecke,
+    hecke_traces,
     rat_matrix,
-    t2_traces,
+    trace_formula_mismatches,
 )
 
 # the first modulus the modular solve works with, a prime
@@ -1010,7 +1012,7 @@ class TestMultiDigitExpress:
         monkeypatch.setattr(basis_module, "_reconstruct_vector", recorded)
         rows = [[el.series.coefficient(j) for el in short.elements] for j in short.window]
         for el in long.elements:
-            image = hecke_t2(el.series, precision)
+            image = hecke(el.series, 2, precision)
             rhs = [image.coefficient(j) for j in short.window]
             assert express(image, short) == gauss_solve(rows, rhs)
         assert max(moduli) > FIRST_PRIME**20
@@ -1051,11 +1053,11 @@ class TestHeckeT2:
 
     @pytest.mark.parametrize("weight", [24, 48, 96])
     def test_traces_agree_across_kinds(self, weight):
-        new_m = t2_traces(weight, "new-m", 3)
-        assert t2_traces(weight, "classical", 3) == new_m
+        new_m = hecke_traces(weight, "new-m", 2, 3)
+        assert hecke_traces(weight, "classical", 2, 3) == new_m
         eigenvalue = 1 + 2 ** (weight - 1)
         cusp = [t - eigenvalue**k for k, t in enumerate(new_m, start=1)]
-        assert t2_traces(weight, "new-s", 3) == cusp
+        assert hecke_traces(weight, "new-s", 2, 3) == cusp
 
     @pytest.mark.parametrize("weight", [24, 48, 96])
     def test_perturbed_constant_term_leaves_the_span(self, weight):
@@ -1065,7 +1067,26 @@ class TestHeckeT2:
         eigenvalue = 1 + 2 ** (weight - 1)
         for kind in ("new-m", "classical"):
             basis = basis_for(weight, kind, precision)
-            image = express(hecke_t2(g, precision), basis)
+            image = express(hecke(g, 2, precision), basis)
             assert image == express(eigenvalue * g.truncate(precision), basis)
             with pytest.raises(SpanError):
-                express(hecke_t2(perturbed, precision), basis)
+                express(hecke(perturbed, 2, precision), basis)
+
+
+class TestEichlerSelbergTraces:
+    """The trace of T_p that express() gives in each kind, against a closed
+    form no other test computes: Tr(T_p | S_k) by the Eichler-Selberg trace
+    formula, plus the eigenvalue 1 + p^(k-1) of G_k in new-m and classical."""
+
+    def test_formula_gives_known_values(self):
+        assert [eichler_selberg_trace(12, p) for p in (2, 3, 5)] == [-24, 252, 4830]
+        delta = delta_series(30)
+        assert all(eichler_selberg_trace(12, n) == delta.coefficient(n) for n in range(1, 30))
+        # S_24 is two-dimensional; T_2's eigenvalues are 540 +- 12 sqrt(144169)
+        assert eichler_selberg_trace(24, 2) == 1080
+        # S_k = 0 for k = 4..10 and 14
+        assert all(eichler_selberg_trace(k, 2) == 0 for k in (4, 6, 8, 10, 14))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_express_traces_match_the_formula(self, p):
+        assert trace_formula_mismatches(p, range(12, 97, 2)) == []
