@@ -18,10 +18,13 @@ the eisenstein() cache, both live for the life of the process.
 
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
-square matrix of q-coefficients has nonzero exact determinant, computed by
-fraction-free elimination on the series' integer numerators.  A form in
-the weight-2k space vanishing in its first dim-many coefficients is zero,
-so that pairing is non-degenerate and the determinant test is sound.
+square matrix of q-coefficients has nonzero determinant.  A form in the
+weight-2k space vanishing in its first dim-many coefficients is zero, so
+that pairing is non-degenerate and the determinant test is sound.  For
+the rows' integer numerators N, det(N mod m) = det(N) mod the prime
+m = 2^31 - 1, so fraction-free elimination on N mod m proves det(N) != 0
+by a nonzero residue.  Only a residue of 0 eliminates N itself, as
+reading a report's exact determinant does.
 
 The new-s determinant is taken through new-m's matrix.  When every new-s
 element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
@@ -35,7 +38,8 @@ They are integer rows: N_i L/D_i - p_i g L/(q_i d) over L = lcm(D_i, q_i d),
 for S_i = N_i/D_i, c_i = p_i/q_i and G_2k = g/d, each cancelled once.
 The last four determinants are kept, keyed by their exact integer rows, so
 certifying new-s after new-m and classical, as verify does, repeats no
-elimination.  Unlike the series caches the memo is bounded, and a hit
+elimination: the new-s residue matrix is new-m's, and so is the exact one
+when it is read.  Unlike the series caches the memo is bounded, and a hit
 needs an identical integer matrix, so it never changes a determinant.
 
 Expressing a form in coordinates solves the leading square window by p-adic
@@ -335,9 +339,15 @@ def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) 
     return classical_basis(weight, precision)
 
 
+# the prime RatMatrix.nonsingular() works modulo; Bareiss on n-square
+# residues grows entries to about 31n bits, half what 2^61 - 1 would give
+CERTIFY_MODULUS = (1 << 31) - 1
+
+
 class RatMatrix:
-    """Dense matrix of exact rationals with an exact determinant and a
-    linear solve that is modular inside but certified exactly.
+    """Dense matrix of exact rationals with an exact determinant, a
+    nonsingularity test certified modulo a prime, and a linear solve that
+    is modular inside but certified exactly.
 
     It is built from cleared rows: row i is a pair (numerators, denominator)
     of ints (not bools), denominator > 0, holding the entries numerators[j] /
@@ -370,6 +380,15 @@ class RatMatrix:
 
     def row_list(self) -> list[list[Fraction]]:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
+
+    def nonsingular(self) -> bool:
+        """Whether det != 0, certified modulo the prime m = CERTIFY_MODULUS:
+        det(N mod m) = det(N) mod m for the cleared numerators N, so a
+        nonzero residue proves it; only a residue of 0 asks for the exact
+        determinant.  Both are determinant() calls, which the memo serves."""
+        m = CERTIFY_MODULUS
+        residues = RatMatrix([([v % m for v in numerators], 1) for numerators, _ in self._rows])
+        return residues.determinant() % m != 0 or self.determinant() != 0
 
     def determinant(self) -> Fraction:
         """Exact determinant, by Bareiss elimination on the cleared rows.
@@ -570,55 +589,67 @@ def _reconstruct_vector(residues: list[int], m: int) -> tuple[list[int], int] | 
 class VerificationReport(Record):
     """Outcome of the exact basis certification for one weight and kind.
 
-    ``determinant`` is None only for the vacuous empty cusp basis.
-    ``constant_terms_vanish`` is None for the full-space kinds, where no
-    vanishing is expected.
+    ``nonsingular`` (RatMatrix.nonsingular) is None only for the vacuous
+    empty cusp basis.  ``constant_terms_vanish`` is None for the full-space
+    kinds, where no vanishing is expected.  ``determinant`` is the exact
+    value, eliminated on first read; it is not a field.
     """
 
     weight: int
     kind: BasisKind
     element_count: int
-    determinant: Fraction | None
+    nonsingular: bool | None
     constant_terms_vanish: bool | None
+
+    def __init__(self, weight, kind, element_count, nonsingular, constant_terms_vanish,
+                 matrix: RatMatrix | None = None, scale: Fraction | int = 1):
+        super().__init__(weight, kind, element_count, nonsingular, constant_terms_vanish)
+        object.__setattr__(self, "_window", (matrix, scale))
+
+    @cached_property
+    def determinant(self) -> Fraction | None:
+        """det(matrix) / scale, or None when there is no window."""
+        matrix, scale = self._window
+        return None if matrix is None else matrix.determinant() / scale
 
     @property
     def confirmed(self) -> bool:
-        return self.determinant != 0 and self.constant_terms_vanish is not False
+        return self.nonsingular is not False and self.constant_terms_vanish is not False
 
 
 def verify_report(basis: Basis) -> VerificationReport:
     """Certify an already-built basis.
 
     The square matrix with one row per element, holding its coefficients
-    over ``basis.window``, must be non-singular.  Cusp kind: every constant
-    term must also vanish exactly.
+    over ``basis.window``, must be non-singular (RatMatrix.nonsingular).
+    Cusp kind: every constant term must also vanish exactly.
 
-    When they all vanish, the new-s determinant is that of the rows G_2k
-    and S_i - c_i * G_2k over a_0..a_n divided by a_0(G_2k), for any c_i
-    (see the module docstring); c_i is the element's correction, or 0 when
-    it has none.  Untampered, those rows are new-m's matrix, which the
-    determinant memo usually holds already.
+    When they all vanish, the new-s matrix is certified through the rows
+    G_2k and S_i - c_i * G_2k over a_0..a_n, whose determinant is a_0(G_2k)
+    times the new-s one, for any c_i (see the module docstring); c_i is the
+    element's correction, or 0 when it has none.  Untampered, those rows
+    are new-m's matrix, whose residue determinant the memo usually holds.
     """
     count = len(basis.elements)
     vanish = None
     if basis.kind is BasisKind.NEW_S:
         vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
-    det = None
-    if count:
-        start, stop = basis.window.start, basis.window.stop
-        series, a0 = [el.series for el in basis.elements], 1
-        rows = [(s.numerators[start:stop], s.denominator) for s in series]
-        if vanish:
-            g = eisenstein(basis.weight, basis.precision)
-            d, top, a0 = g.denominator, g.numerators[:stop], g.coefficient(0)
-            rows = [(top, d)]
-            for s, el in zip(series, basis.elements):
-                c = getattr(el.descriptor, "c", 0)
-                den = lcm(s.denominator, c.denominator * d)
-                a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
-                rows.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
-        det = RatMatrix(rows).determinant() / a0
-    return VerificationReport(basis.weight, basis.kind, count, det, vanish)
+    if not count:
+        return VerificationReport(basis.weight, basis.kind, count, None, vanish)
+    start, stop = basis.window.start, basis.window.stop
+    series, a0 = [el.series for el in basis.elements], 1
+    rows = [(s.numerators[start:stop], s.denominator) for s in series]
+    if vanish:
+        g = eisenstein(basis.weight, basis.precision)
+        d, top, a0 = g.denominator, g.numerators[:stop], g.coefficient(0)
+        rows = [(top, d)]
+        for s, el in zip(series, basis.elements):
+            c = getattr(el.descriptor, "c", 0)
+            den = lcm(s.denominator, c.denominator * d)
+            a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
+            rows.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
+    matrix = RatMatrix(rows)
+    return VerificationReport(basis.weight, basis.kind, count, matrix.nonsingular(), vanish, matrix, a0)
 
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:

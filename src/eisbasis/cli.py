@@ -313,21 +313,21 @@ def _cmd_verify(args) -> int:
     dimension_data(args.max_weight)
     all_ok = True
     for weight in range(4, args.max_weight + 1, 2):
-        # new-s last: its determinant is new-m's, still in the memo
+        # new-s last: its residue matrix is new-m's, still in the memo
         kinds = (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
         new_m, classical, new_s = [verify_basis(weight, kind) for kind in kinds]
         checks = [
             ("dim", new_m.element_count == dimension_oracle(weight)),
-            ("new-m det", new_m.determinant != 0),
-            ("classical det", classical.determinant != 0),
+            ("new-m det", new_m.nonsingular),
+            ("classical det", classical.nonsingular),
             ("cusp a_0", new_s.constant_terms_vanish is True),
-            ("cusp det", new_s.determinant != 0),
+            ("cusp det", new_s.nonsingular is not False),
         ]
         ok = all(flag for _, flag in checks)
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
         detail = "  ".join(f"{name}:{'ok' if flag else 'BAD'}" for name, flag in checks)
-        cusp_note = "vacuous" if new_s.determinant is None else "checked"
+        cusp_note = "vacuous" if new_s.nonsingular is None else "checked"
         print(f"weight {weight:>3}  {detail}  [cusp {cusp_note}]  {status}")
     total = (args.max_weight - 2) // 2
     print(f"verified weights 4..{args.max_weight}: {'all pass' if all_ok else 'FAILURES'} ({total} weights)")

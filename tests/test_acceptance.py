@@ -62,6 +62,7 @@ def test_criterion_2_full_space_bases_certified_to_weight_120():
         assert len(basis.elements) == dimension_oracle(weight)
         report = verify_basis(weight, BasisKind.NEW_M)
         assert report.determinant is not None and report.determinant != 0, weight
+        assert report.nonsingular is True, weight
         assert report.confirmed, weight
     assert time.monotonic() - started < 60.0
 
@@ -76,6 +77,7 @@ def test_criterion_3_cusp_bases_certified_to_weight_120():
         assert report.element_count == dimension_oracle(weight) - 1
         if basis.elements:
             assert report.determinant != 0, weight
+            assert report.nonsingular is True, weight
         assert report.confirmed, weight
 
 

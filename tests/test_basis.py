@@ -24,6 +24,7 @@ from eisbasis import (
 from eisbasis import basis as basis_module
 from eisbasis.arith import dimension_oracle, sigma
 from eisbasis.basis import (
+    CERTIFY_MODULUS,
     BasisKind,
     CuspCombo,
     Monomial,
@@ -60,6 +61,22 @@ def counted_calls(monkeypatch, name):
         return function(*args)
 
     monkeypatch.setattr(basis_module, name, counted)
+    return calls
+
+
+def determinant_calls(monkeypatch) -> list[bool]:
+    """Record every RatMatrix.determinant() call: True when each entry of
+    the matrix is an integer in [0, CERTIFY_MODULUS), as in a residue
+    matrix, False for an exact elimination."""
+    calls = []
+    determinant = RatMatrix.determinant
+
+    def recorded(self):
+        entries = [v for row in self.row_list() for v in row]
+        calls.append(all(v.denominator == 1 and 0 <= v < CERTIFY_MODULUS for v in entries))
+        return determinant(self)
+
+    monkeypatch.setattr(RatMatrix, "determinant", recorded)
     return calls
 
 
@@ -222,7 +239,9 @@ class TestClassicalBasis:
 
 class TestRatMatrix:
     def test_identity_determinant(self):
-        assert rat_matrix([[int(i == j) for j in range(3)] for i in range(3)]).determinant() == 1
+        identity = rat_matrix([[int(i == j) for j in range(3)] for i in range(3)])
+        assert identity.determinant() == 1
+        assert identity.nonsingular()
 
     def test_weight_12_block_determinant(self):
         assert verify_report(new_basis(12)).determinant == Fraction(1, 17472)
@@ -230,6 +249,28 @@ class TestRatMatrix:
     def test_repeated_row_is_singular(self):
         m = rat_matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
         assert m.determinant() == 0
+        assert m.nonsingular() is False
+
+    def test_a_unit_residue_certifies_without_the_exact_determinant(self, monkeypatch):
+        calls = determinant_calls(monkeypatch)
+        assert rat_matrix([[2, 1], [-1, 3]]).nonsingular() is True
+        assert calls == [True]
+
+    def test_a_determinant_divisible_by_the_modulus_takes_the_exact_fallback(self, monkeypatch):
+        # det = m is 0 mod m: the residue proves nothing, the exact value decides
+        m = CERTIFY_MODULUS
+        calls = determinant_calls(monkeypatch)
+        assert rat_matrix([[m, 0], [0, 1]]).nonsingular() is True
+        assert calls == [True, False]
+        calls.clear()
+        assert rat_matrix([[m, 2 * m], [1, 2]]).nonsingular() is False
+        assert calls == [True, False]
+
+    def test_row_denominators_divisible_by_the_modulus_do_not_matter(self):
+        # the certificate reads the cleared numerators, not the entries
+        m = CERTIFY_MODULUS
+        assert rat_matrix([[Fraction(1, m), 0], [0, Fraction(2, m)]]).nonsingular() is True
+        assert rat_matrix([[Fraction(1, m), 1], [Fraction(1, m), 1]]).nonsingular() is False
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -268,6 +309,7 @@ class TestRatMatrix:
                     for _ in range(n)
                 ]
                 assert rat_matrix(rows).determinant() == det_leibniz(rows)
+                assert rat_matrix(rows).nonsingular() == (det_leibniz(rows) != 0)
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_dependent_row_matches_permutation_expansion(self, position):
@@ -287,6 +329,7 @@ class TestRatMatrix:
                 rows.insert(index, combination)
                 assert det_leibniz(rows) == 0
                 assert rat_matrix(rows).determinant() == 0
+                assert rat_matrix(rows).nonsingular() is False
 
     def test_sparse_matrices_match_permutation_expansion(self):
         # mostly-zero rows often clear to zero in part without the matrix
@@ -300,10 +343,12 @@ class TestRatMatrix:
                     for _ in range(n)
                 ]
                 assert rat_matrix(rows).determinant() == det_leibniz(rows)
+                assert rat_matrix(rows).nonsingular() == (det_leibniz(rows) != 0)
 
     def test_pivoting_handles_leading_zeros(self):
         m = rat_matrix([[0, 1], [1, 0]])
         assert m.determinant() == -1
+        assert m.nonsingular()
 
     def test_solve_round_trip(self):
         rng = random.Random(74207281)
@@ -588,12 +633,14 @@ class TestVerification:
     def test_weight_12_new_m(self):
         report = verify_basis(12, "new-m")
         assert report.determinant == Fraction(1, 17472)
+        assert report.nonsingular is True
         assert report.confirmed
 
     def test_weight_4_cusp_is_vacuous(self):
         report = verify_basis(4, BasisKind.NEW_S)
         assert report.element_count == 0
         assert report.determinant is None
+        assert report.nonsingular is None
         assert report.confirmed
 
     def test_weight_36_new_m_nonzero(self):
@@ -610,6 +657,11 @@ class TestVerification:
                 report = verify_basis(w, kind)
                 assert report.confirmed, (w, kind)
                 assert report == verify_report(basis_for(w, kind)), (w, kind)
+                # the residue certificate agrees with the exact determinant
+                if report.element_count:
+                    assert report.nonsingular == (report.determinant != 0), (w, kind)
+                else:
+                    assert report.nonsingular is report.determinant is None, (w, kind)
 
     def test_corrupted_cusp_basis_is_rejected(self):
         basis = cusp_basis(12)
@@ -648,7 +700,23 @@ class TestVerification:
         )
         report = verify_report(doubled)
         assert report.determinant == 0
+        assert report.nonsingular is False
         assert not report.confirmed
+
+    def test_the_exact_determinant_is_eliminated_when_read_and_kept(self, monkeypatch):
+        basis = new_basis(36)
+        calls = determinant_calls(monkeypatch)
+        report = verify_report(basis)
+        assert calls == [True]
+        assert report.determinant == det_leibniz([el.series.coeffs[:4] for el in basis.elements])
+        assert report.determinant == report.determinant
+        assert calls == [True, False]
+
+    def test_confirming_new_m_at_240_runs_no_exact_elimination(self, monkeypatch):
+        basis = new_basis(240)
+        calls = determinant_calls(monkeypatch)
+        assert verify_report(basis).confirmed
+        assert calls == [True]
 
 
 class TestBasisConstruction:
@@ -737,12 +805,14 @@ class TestNewSThroughNewM:
             new_m = verify_report(new_basis(weight))
             basis = cusp_basis(weight)
             new_s = verify_report(basis)
+            assert new_m.nonsingular == (new_m.determinant != 0), weight
             if not basis.elements:
-                assert new_s.determinant is None
+                assert new_s.determinant is new_s.nonsingular is None
                 assert new_m.determinant == a0, weight
                 continue
             assert new_s.determinant == window_determinant(basis), weight
             assert new_s.determinant * a0 == new_m.determinant, weight
+            assert new_s.nonsingular == (new_s.determinant != 0), weight
 
     def test_after_new_m_and_classical_the_new_s_determinant_is_a_memo_hit(self):
         memo = basis_module._bareiss
@@ -764,12 +834,16 @@ class TestNewSThroughNewM:
         assert not report.confirmed
 
     @pytest.mark.parametrize("weight", [36, 120])
-    def test_last_element_the_sum_of_the_first_two_is_singular(self, weight):
+    def test_last_element_the_sum_of_the_first_two_is_singular(self, weight, monkeypatch):
         basis = cusp_basis(weight)
         first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
         singular = with_element(basis, -1, last.descriptor, first.series + second.series)
+        calls = determinant_calls(monkeypatch)
         report = verify_report(singular)
+        # a zero residue proves nothing; the exact determinant decides
+        assert calls == [True, False]
         assert report.constant_terms_vanish is True
+        assert report.nonsingular is False
         assert report.determinant == 0
         assert not report.confirmed
 
@@ -792,12 +866,15 @@ class TestNewSThroughNewM:
             assert report.determinant == window_determinant(basis) != 0
             assert report.confirmed
 
-    def test_singular_control_after_new_m_at_240_reads_zero(self):
+    def test_singular_control_after_new_m_at_240_reads_zero(self, monkeypatch):
         basis = new_basis(240)
         assert verify_report(basis).confirmed
         first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
         control = with_element(basis, -1, last.descriptor, first.series + second.series)
+        calls = determinant_calls(monkeypatch)
         report = verify_report(control)
+        assert calls == [True, False]
+        assert report.nonsingular is False
         assert report.determinant == 0
         assert not report.confirmed
 

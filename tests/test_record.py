@@ -19,7 +19,7 @@ FIELDS = {
         "weight",
         "kind",
         "element_count",
-        "determinant",
+        "nonsingular",
         "constant_terms_vanish",
     ),
 }
@@ -71,7 +71,7 @@ def test_reprs_name_every_field():
     )
     assert repr(verify_report(new_basis(12, 16))) == (
         "VerificationReport(weight=12, kind=<BasisKind.NEW_M: 'new-m'>, element_count=2, "
-        "determinant=Fraction(1, 17472), constant_terms_vanish=None)"
+        "nonsingular=True, constant_terms_vanish=None)"
     )
     # QSeries keeps its own repr
     assert repr(eisenstein(4, 8)) == "QSeries(weight=4, precision=8, coeffs=(1/240, 1, 9, 28, ...))"
@@ -91,15 +91,21 @@ def test_assignment_and_deletion_raise(build):
 
 
 def test_cached_values_are_kept_without_changing_equality():
-    # QSeries.coeffs and Basis._express_system write the instance __dict__
+    # QSeries.coeffs, Basis._express_system and VerificationReport.determinant
+    # write the instance __dict__
     basis = new_basis(12, 21)
     series = basis.elements[1].series
     series.coeffs
     basis._express_system
+    report = verify_report(basis)
+    assert report.determinant == Fraction(1, 17472)
     assert "coeffs" in vars(series)
     assert "_express_system" in vars(basis)
+    assert "determinant" in vars(report)
     assert series == QSeries(12, series.coeffs)
     assert basis == Basis(12, BasisKind.NEW_M, 21, basis.elements)
+    assert report == verify_report(basis)
+    assert hash(report) == hash(verify_report(basis))
 
 
 @pytest.mark.parametrize(
