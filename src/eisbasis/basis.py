@@ -14,7 +14,8 @@ Construction shares its work.  The products G_u * G_v are cached per
 precision, so new-s reuses the products new-m built; the powers of G_4 and
 G_6 sit in one table per (weight, precision) that every classical basis
 draws from, so a monomial costs a lookup plus at most one multiply.  Like
-the eisenstein() cache, both live for the life of the process.
+the eisenstein() cache, both live for the life of the process, and so do
+the residue series and power tables verify_basis builds, keyed by modulus.
 
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
@@ -23,8 +24,10 @@ weight-2k space vanishing in its first dim-many coefficients is zero, so
 that pairing is non-degenerate and the determinant test is sound.  For
 the rows' integer numerators N, det(N mod m) = det(N) mod the prime
 m = 2^31 - 1, so fraction-free elimination on N mod m proves det(N) != 0
-by a nonzero residue.  Only a residue of 0 eliminates N itself, as
-reading a report's exact determinant does.
+by a nonzero residue.  verify_basis builds no N: its rows are descriptors
+realized mod m, N_i * d_i^-1 mod m from sigma_{k-1}(n) mod m, whose
+determinant is det(N) / prod(d_i) mod m.  Only a residue of 0, or a d_i
+that m divides, builds N and eliminates it, as reading `determinant` does.
 
 The new-s determinant is taken through new-m's matrix.  When every new-s
 element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
@@ -66,7 +69,7 @@ from operator import mul
 from ._record import Record
 from .arith import _check_weight, _is_int, dimension_data, sigma
 from .eisenstein import eisenstein, eisenstein_product
-from .qseries import QSeries, _as_fraction, _lowest_terms, _numerators
+from .qseries import QSeries, _as_fraction, _kronecker, _lowest_terms, _numerators
 
 
 class BasisKind(str, Enum):
@@ -89,8 +92,11 @@ class Single(Record):
     def label(self) -> str:
         return f"G_{self.weight}"
 
-    def realize(self, precision: int) -> QSeries:
-        return eisenstein(self.weight, precision)
+    def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
+        """The exact series, or with `modulus` its residues (_eisenstein_residues)."""
+        if modulus is None:
+            return eisenstein(self.weight, precision)
+        return _eisenstein_residues(self.weight, precision, modulus)
 
 
 class Product(Record):
@@ -102,8 +108,12 @@ class Product(Record):
     def label(self) -> str:
         return f"G_{self.u}*G_{self.v}"
 
-    def realize(self, precision: int) -> QSeries:
-        return eisenstein_product(self.u, self.v, precision)
+    def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
+        """The cached exact product, or with `modulus` the product of residues."""
+        if modulus is None:
+            return eisenstein_product(self.u, self.v, precision)
+        u, v = (_eisenstein_residues(w, precision, modulus) for w in (self.u, self.v))
+        return _times(u, v, modulus)
 
 
 class CuspCombo(Record):
@@ -150,31 +160,60 @@ class Monomial(Record):
             parts.append("G_6" if self.beta == 1 else f"G_6^{self.beta}")
         return "*".join(parts)
 
-    def realize(self, precision: int) -> QSeries:
-        """A lookup in the shared G_4 and G_6 power tables, plus one
-        multiply when both exponents are nonzero."""
+    def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
+        """A lookup in the shared G_4 and G_6 power tables, exact or mod
+        `modulus`, plus one multiply when both exponents are nonzero."""
         alpha, beta = self.alpha, self.beta
         if not beta:
-            return _eisenstein_power(4, alpha, precision)
+            return _eisenstein_power(4, alpha, precision, modulus)
         if not alpha:
-            return _eisenstein_power(6, beta, precision)
-        return _eisenstein_power(4, alpha, precision) * _eisenstein_power(6, beta, precision)
+            return _eisenstein_power(6, beta, precision, modulus)
+        g4 = _eisenstein_power(4, alpha, precision, modulus)
+        return _times(g4, _eisenstein_power(6, beta, precision, modulus), modulus)
 
 
-# (weight, precision) -> {exponent: G_weight^exponent}, for the life of the
-# process, like the eisenstein() cache
-_power_tables: dict[tuple[int, int], dict[int, QSeries]] = {}
+@lru_cache(maxsize=None)
+def _constant_term(weight: int) -> tuple[int, int]:
+    """a_0(G_weight) = sigma(weight - 1, 0) as (numerator, denominator)."""
+    return sigma(weight - 1, 0).as_integer_ratio()
 
 
-def _eisenstein_power(weight: int, exponent: int, precision: int) -> QSeries:
+@lru_cache(maxsize=None)
+def _eisenstein_residues(weight: int, length: int, modulus: int) -> tuple[int, ...]:
+    """G_weight's first `length` coefficients mod the prime `modulus`: a_0
+    with its denominator inverted (ZeroDivisionError if `modulus` divides
+    it), then sigma_{weight-1}(n) by a divisor sieve of pow(d, weight - 1)."""
+    p, q = _constant_term(weight)
+    if gcd(q, modulus) != 1:
+        raise ZeroDivisionError(f"a_0(G_{weight}) is not defined modulo {modulus}")
+    sums = [p * pow(q, -1, modulus)] + [0] * (length - 1)
+    for d in range(1, length):
+        power = pow(d, weight - 1, modulus)
+        for n in range(d, length, d):
+            sums[n] += power
+    return tuple([v % modulus for v in sums])
+
+
+def _times(a, b, modulus: int | None):
+    """a * b: series exactly, or residue tuples by _kronecker mod `modulus`."""
+    return a * b if modulus is None else tuple([v % modulus for v in _kronecker(a, b)])
+
+
+# (weight, precision, modulus) -> {exponent: G_weight^exponent}, exact when
+# modulus is None, for the life of the process, like the eisenstein() cache
+_power_tables: dict[tuple[int, int, int | None], dict] = {}
+
+
+def _eisenstein_power(weight: int, exponent: int, precision: int, modulus: int | None = None):
     """G_weight^exponent (exponent >= 1) from its shared power table, each
     missing power one multiply from the one below.  Entries are keyed by
     exponent, so a concurrent fill is idempotent: at worst two callers
     repeat a multiply and store the same value."""
-    table = _power_tables.setdefault((weight, precision), {1: eisenstein(weight, precision)})
+    base = Single(weight).realize(precision, modulus)
+    table = _power_tables.setdefault((weight, precision, modulus), {1: base})
     for e in range(2, exponent + 1):
         if e not in table:
-            table[e] = table[e - 1] * table[1]
+            table[e] = _times(table[e - 1], table[1], modulus)
     return table[exponent]
 
 
@@ -592,7 +631,7 @@ class VerificationReport(Record):
     ``nonsingular`` (RatMatrix.nonsingular) is None only for the vacuous
     empty cusp basis.  ``constant_terms_vanish`` is None for the full-space
     kinds, where no vanishing is expected.  ``determinant`` is the exact
-    value, eliminated on first read; it is not a field.
+    value, computed on first read by calling `exact`; it is not a field.
     """
 
     weight: int
@@ -601,16 +640,14 @@ class VerificationReport(Record):
     nonsingular: bool | None
     constant_terms_vanish: bool | None
 
-    def __init__(self, weight, kind, element_count, nonsingular, constant_terms_vanish,
-                 matrix: RatMatrix | None = None, scale: Fraction | int = 1):
+    def __init__(self, weight, kind, element_count, nonsingular, constant_terms_vanish, exact=None):
         super().__init__(weight, kind, element_count, nonsingular, constant_terms_vanish)
-        object.__setattr__(self, "_window", (matrix, scale))
+        object.__setattr__(self, "_exact", exact)
 
     @cached_property
     def determinant(self) -> Fraction | None:
-        """det(matrix) / scale, or None when there is no window."""
-        matrix, scale = self._window
-        return None if matrix is None else matrix.determinant() / scale
+        """exact(), or None when there is no window."""
+        return None if self._exact is None else self._exact()
 
     @property
     def confirmed(self) -> bool:
@@ -649,13 +686,46 @@ def verify_report(basis: Basis) -> VerificationReport:
             a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
             rows.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
     matrix = RatMatrix(rows)
-    return VerificationReport(basis.weight, basis.kind, count, matrix.nonsingular(), vanish, matrix, a0)
+    return VerificationReport(basis.weight, basis.kind, count, matrix.nonsingular(), vanish,
+                              lambda: matrix.determinant() / a0)
+
+
+@lru_cache(maxsize=2)
+def _residue_window(weight: int, kind: BasisKind, modulus: int) -> RatMatrix:
+    """Each `kind` descriptor realized mod `modulus` on the window from a_0,
+    over 1.  Two are kept, so new-s after classical reuses new-m's."""
+    descriptors = basis_descriptors(weight, kind)
+    return RatMatrix([(d.realize(len(descriptors), modulus), 1) for d in descriptors])
 
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
-    """Certify the `kind` basis at `weight`, built at the precision floor:
-    the report reads only the square window, so longer series add nothing."""
-    return verify_report(basis_for(weight, kind, _precision_floor(weight)))
+    """verify_report of the `kind` basis at the precision floor, certified
+    mod m = CERTIFY_MODULUS on rows N_i * d_i^-1 mod m (_residue_window);
+    new-s on new-m's, as verify_report does, once its constant terms vanish
+    exactly.  A zero residue, or an a_0 denominator that m divides, falls
+    back to verify_report on the floor basis, as reading `determinant` does.
+    """
+    floor, kind = _precision_floor(weight), BasisKind(kind)
+
+    def exact() -> VerificationReport:
+        return verify_report(basis_for(weight, kind, floor))
+
+    count, vanish, m = kind.dimension(weight), None, CERTIFY_MODULUS
+    if kind is BasisKind.NEW_S:
+        # a_0(G_u) a_0(G_v) + c a_0(G_{u+v}) == 0, over the integers
+        descriptors = basis_descriptors(weight, kind)
+        terms = [(d.c, *map(_constant_term, (d.u, d.v, d.weight))) for d in descriptors]
+        vanish = all(pu * pv * c.denominator * qw + c.numerator * pw * qu * qv == 0
+                     for c, (pu, qu), (pv, qv), (pw, qw) in terms)
+        if not count:
+            return VerificationReport(weight, kind, 0, None, vanish)
+    try:
+        window = _residue_window(weight, BasisKind.NEW_M if kind is BasisKind.NEW_S else kind, m)
+    except ZeroDivisionError:
+        return exact()
+    if vanish is False or window.determinant() % m == 0:
+        return exact()
+    return VerificationReport(weight, kind, count, True, vanish, lambda: exact().determinant)
 
 
 class SpanError(ValueError):

@@ -313,7 +313,7 @@ def _cmd_verify(args) -> int:
     dimension_data(args.max_weight)
     all_ok = True
     for weight in range(4, args.max_weight + 1, 2):
-        # new-s last: its residue matrix is new-m's, still in the memo
+        # new-s last: its residue window is new-m's, still kept with its determinant
         kinds = (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S)
         new_m, classical, new_s = [verify_basis(weight, kind) for kind in kinds]
         checks = [

@@ -26,6 +26,7 @@ from eisbasis import (
     dimension_data,
     eisenstein,
     express,
+    verify_report,
 )
 from eisbasis.basis import BasisKind
 
@@ -226,16 +227,18 @@ def tamper(basis: Basis) -> Basis:
     return Basis(basis.weight, basis.kind, basis.precision, (broken,) + basis.elements[1:])
 
 
-def tampered_at(basis_for, weight: int):
-    """`basis_for`, except that at `weight` one basis comes back tampered:
-    new-s where the weight has cusp forms, new-m where it has none."""
+def tampered_at(verify_basis, weight: int):
+    """`verify_basis`, except that at `weight` one report is that of a
+    tampered basis: new-s where the weight has cusp forms, new-m where it
+    has none."""
     bad_kind = BasisKind.NEW_S if dimension_data(weight).dim_cusp else BasisKind.NEW_M
 
-    def build(w, kind, precision=None):
-        basis = basis_for(w, kind, precision)
-        return tamper(basis) if w == weight and BasisKind(kind) is bad_kind else basis
+    def verify(w, kind):
+        if w == weight and BasisKind(kind) is bad_kind:
+            return verify_report(tamper(basis_for(w, kind)))
+        return verify_basis(w, kind)
 
-    return build
+    return verify
 
 
 # Ramanujan tau values tau(1)..tau(20), frozen from the delta_series

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -889,6 +890,107 @@ class TestNewSThroughNewM:
         assert other != original
         assert other == det_leibniz(RatMatrix(changed).row_list())
         assert RatMatrix(rows).determinant() == original
+
+
+def floor_basis(weight: int, kind) -> Basis:
+    """The `kind` basis at `weight` built at the precision floor, dim_cusp + 2."""
+    return basis_for(weight, kind, dimension_data(weight).dim_cusp + 2)
+
+
+def residue_rows(weight: int, kind: BasisKind) -> list[tuple[int, ...]]:
+    """The rows verify_basis certifies `kind` at `weight` on, each over 1:
+    every descriptor realized mod m, new-m's for new-s."""
+    kind = BasisKind.NEW_M if kind is BasisKind.NEW_S else kind
+    window = basis_module._residue_window(weight, kind, CERTIFY_MODULUS)
+    return [numerators for numerators, _ in window._rows]
+
+
+class TestResidueRoute:
+    """verify_basis certifies from residues the windows verify_report
+    certifies on the exact floor basis, and falls back to it."""
+
+    def test_rows_and_reports_match_the_exact_floor_basis_through_240(self):
+        m = CERTIFY_MODULUS
+        for weight in range(4, 242, 2):
+            n = dimension_data(weight).dim_modular
+            for kind in BasisKind:
+                basis = floor_basis(weight, kind)
+                series = [el.series for el in basis.elements]
+                if kind is BasisKind.NEW_S:
+                    # the certificate's rows: G_2k, then S_i - c_i G_2k
+                    g = eisenstein(weight, basis.precision)
+                    series = [g] + [s - el.descriptor.c * g for s, el in zip(series, basis.elements)]
+                exact = [
+                    tuple(v * pow(s.denominator, -1, m) % m for v in s.numerators[:n])
+                    for s in series
+                ]
+                assert residue_rows(weight, kind) == exact, (weight, kind)
+                assert verify_basis(weight, kind) == verify_report(basis), (weight, kind)
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_a_zero_residue_falls_back_to_the_exact_path(self, kind, monkeypatch):
+        expected = verify_report(floor_basis(36, kind))
+        calls = determinant_calls(monkeypatch)
+        recorded = RatMatrix.determinant
+
+        def zero_on_residues(self):
+            value = recorded(self)
+            return Fraction(0) if calls[-1] else value
+
+        monkeypatch.setattr(RatMatrix, "determinant", zero_on_residues)
+        report = verify_basis(36, kind)
+        assert report == expected
+        assert report.nonsingular is True
+        assert False in calls  # the exact elimination decided
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_a_denominator_the_modulus_divides_falls_back(self, kind, monkeypatch):
+        # 7 divides the a_0 denominators of G_6 and G_12: 504 and 65520
+        monkeypatch.setattr(basis_module, "CERTIFY_MODULUS", 7)
+        builds = counted_calls(monkeypatch, "basis_for")
+        report = verify_basis(12, kind)
+        assert builds == [(12, BasisKind(kind), 3)]
+        assert report.confirmed
+        assert report == verify_report(basis_for(12, kind))
+
+    def test_weight_240_builds_no_series_until_a_determinant_is_read(self, monkeypatch):
+        names = ("new_basis", "cusp_basis", "classical_basis")
+        builders = [counted_calls(monkeypatch, name) for name in names]
+        calls = determinant_calls(monkeypatch)
+        report, *others = [verify_basis(240, kind) for kind in BasisKind]
+        assert report.kind is BasisKind.NEW_M
+        assert all(r.confirmed for r in [report, *others])
+        assert builders == [[], [], []]
+        assert calls and all(calls)
+        residue_calls = len(calls)
+        determinant = report.determinant
+        assert report.determinant == determinant
+        assert builders[0] == [(240, dimension_data(240).dim_cusp + 2)]
+        assert calls[residue_calls:].count(False) == 1
+        assert determinant == verify_report(new_basis(240)).determinant != 0
+
+    def test_a_constant_term_that_does_not_cancel_fails_as_the_exact_path_does(self, monkeypatch):
+        correction = basis_module.cusp_correction
+        monkeypatch.setattr(basis_module, "cusp_correction", lambda u, v: correction(u, v) + 1)
+        with pytest.raises(ArithmeticError, match="constant term failed to cancel"):
+            verify_basis(36, "new-s")
+
+    @pytest.mark.parametrize(
+        "weight, kind, message",
+        [
+            (2, "new-m", "weight 2 rejected: the weight-2 Eisenstein series is only quasi-modular"),
+            (5, "new-s", "weight must be an even integer >= 4, got 5"),
+            (16.0, "classical", "weight must be an even integer >= 4, got 16.0"),
+            (True, "new-m", "weight must be an even integer >= 4, got True"),
+            (12, "newm", "'newm' is not a valid BasisKind"),
+        ],
+    )
+    def test_bad_input_is_rejected_before_any_residue_work(self, weight, kind, message, monkeypatch):
+        windows = counted_calls(monkeypatch, "_residue_window")
+        calls = determinant_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_basis(weight, kind)
+        assert windows == calls == []
 
 
 class TestExpress:

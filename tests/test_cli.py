@@ -570,27 +570,27 @@ class TestVerifyCommand:
         assert "all pass (59 weights)" in out
 
     def test_corruption_hook_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(eisbasis.basis.basis_for, 12))
+        monkeypatch.setattr(eisbasis.cli, "verify_basis", tampered_at(verify_basis, 12))
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "12")
         assert code == 1
         assert "FAIL" in out
 
     def test_corruption_hook_at_cuspless_weight(self, capsys, monkeypatch):
-        monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(eisbasis.basis.basis_for, 4))
+        monkeypatch.setattr(eisbasis.cli, "verify_basis", tampered_at(verify_basis, 4))
         code, out, _ = run_cli(capsys, "verify", "--max-weight", "4")
         assert code == 1
 
     def test_verify_lines_agree_with_confirmed_reports(self, capsys, monkeypatch):
         # verify prints its own checks and never reads
         # VerificationReport.confirmed, so the two must not drift apart
-        clean = eisbasis.basis.basis_for
         for weight in range(4, 38, 2):
             assert all(verify_basis(weight, kind).confirmed for kind in BasisKind), weight
         for weight in range(4, 38, 2):
-            monkeypatch.setattr(eisbasis.basis, "basis_for", tampered_at(clean, weight))
+            tampered = tampered_at(verify_basis, weight)
+            monkeypatch.setattr(eisbasis.cli, "verify_basis", tampered)
             _, out, _ = run_cli(capsys, "verify", "--max-weight", "36")
             lines = dict(zip(range(4, 38, 2), out.splitlines()))
-            confirmed = all(verify_basis(weight, kind).confirmed for kind in BasisKind)
+            confirmed = all(tampered(weight, kind).confirmed for kind in BasisKind)
             assert lines.pop(weight).endswith("FAIL") == (not confirmed), weight
             assert all(line.endswith("pass") for line in lines.values()), weight
 
