@@ -21,13 +21,13 @@ Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
 square matrix of q-coefficients has nonzero determinant.  A form in the
 weight-2k space vanishing in its first dim-many coefficients is zero, so
-that pairing is non-degenerate and the determinant test is sound.  For
-the rows' integer numerators N, det(N mod m) = det(N) mod the prime
-m = 2^31 - 1, so fraction-free elimination on N mod m proves det(N) != 0
-by a nonzero residue.  verify_basis builds no N: its rows are descriptors
-realized mod m, N_i * d_i^-1 mod m from sigma_{k-1}(n) mod m, whose
-determinant is det(N) / prod(d_i) mod m.  Only a residue of 0, or a d_i
-that m divides, builds N and eliminates it, as reading `determinant` does.
+that pairing is non-degenerate and the determinant test is sound.  For an
+integer matrix R, det(R mod m) = det(R) mod m, so elimination on R mod
+m = 2^31 - 1 proves det(R) != 0 by a nonzero residue: R is the cleared
+numerator rows in nonsingular(), and in verify_basis, which builds no
+series, R_i = D_i * A_i mod m from residues of q * G_w, a_0(G_w) = p/q, for
+the exact row A_i and D_i a product of a_0 denominators, so det(R) =
+prod(D_i) * det(A).  Only a residue of 0 builds A, as `determinant` does.
 
 The new-s determinant is taken through new-m's matrix.  When every new-s
 element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
@@ -67,8 +67,8 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from ._record import Record
-from .arith import _check_weight, _is_int, dimension_data, sigma
-from .eisenstein import eisenstein, eisenstein_product
+from .arith import _check_weight, _is_int, dimension_data
+from .eisenstein import _constant_term, eisenstein, eisenstein_product
 from .qseries import QSeries, _as_fraction, _kronecker, _lowest_terms, _numerators
 
 
@@ -173,22 +173,14 @@ class Monomial(Record):
 
 
 @lru_cache(maxsize=None)
-def _constant_term(weight: int) -> tuple[int, int]:
-    """a_0(G_weight) = sigma(weight - 1, 0) as (numerator, denominator)."""
-    return sigma(weight - 1, 0).as_integer_ratio()
-
-
-@lru_cache(maxsize=None)
 def _eisenstein_residues(weight: int, length: int, modulus: int) -> tuple[int, ...]:
-    """G_weight's first `length` coefficients mod the prime `modulus`: a_0
-    with its denominator inverted (ZeroDivisionError if `modulus` divides
-    it), then sigma_{weight-1}(n) by a divisor sieve of pow(d, weight - 1)."""
+    """The cleared series q * G_weight mod `modulus`, for a_0(G_weight) =
+    p/q, to `length` terms: p, then q * sigma_{weight-1}(n) by a divisor
+    sieve of pow(d, weight - 1).  Its products are cleared rows too."""
     p, q = _constant_term(weight)
-    if gcd(q, modulus) != 1:
-        raise ZeroDivisionError(f"a_0(G_{weight}) is not defined modulo {modulus}")
-    sums = [p * pow(q, -1, modulus)] + [0] * (length - 1)
+    sums = [p] + [0] * (length - 1)
     for d in range(1, length):
-        power = pow(d, weight - 1, modulus)
+        power = pow(d, weight - 1, modulus) * q % modulus
         for n in range(d, length, d):
             sums[n] += power
     return tuple([v % modulus for v in sums])
@@ -311,8 +303,8 @@ def _checked_precision(weight: int, precision: int | None) -> int:
 
 def basis_descriptors(weight: int, kind: BasisKind | str) -> list[Descriptor]:
     """The descriptors of the `kind` basis at `weight`, in basis order, with
-    no series realized; only the cusp corrections cost anything (the
-    constant terms sigma(r, 0), from Bernoulli numbers).
+    no series realized; only the cusp corrections cost anything: a Fraction
+    each, and a Bernoulli number per constant term not yet cached.
 
     new-m is G_{2k}, then the products in increasing first-factor order:
     the factor weights run (4i, 2k-4i) when 2k = 0 mod 4 and
@@ -351,11 +343,12 @@ def new_basis(weight: int, precision: int | None = None) -> Basis:
 
 def cusp_correction(u: int, v: int) -> Fraction:
     """The coefficient c making G_u * G_v + c * G_{u+v} a cusp form:
-    -a_0(G_u) a_0(G_v) / a_0(G_{u+v}), read from the constant terms
-    sigma(r, 0) that eisenstein() uses, once both are checked as weights."""
+    -a_0(G_u) a_0(G_v) / a_0(G_{u+v}), one Fraction built from the integer
+    constant terms eisenstein() uses, once both are checked as weights."""
     _check_weight(u)
     _check_weight(v)
-    return -sigma(u - 1, 0) * sigma(v - 1, 0) / sigma(u + v - 1, 0)
+    (pu, qu), (pv, qv), (pw, qw) = map(_constant_term, (u, v, u + v))
+    return Fraction(-pu * pv * qw, qu * qv * pw)
 
 
 def cusp_basis(weight: int, precision: int | None = None) -> Basis:
@@ -700,9 +693,9 @@ def _residue_window(weight: int, kind: BasisKind, modulus: int) -> RatMatrix:
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
     """verify_report of the `kind` basis at the precision floor, certified
-    mod m = CERTIFY_MODULUS on rows N_i * d_i^-1 mod m (_residue_window);
+    mod m = CERTIFY_MODULUS on its cleared rows D_i * A_i (_residue_window);
     new-s on new-m's, as verify_report does, once its constant terms vanish
-    exactly.  A zero residue, or an a_0 denominator that m divides, falls
+    exactly.  A constant term that does not cancel, or a zero residue, falls
     back to verify_report on the floor basis, as reading `determinant` does.
     """
     floor, kind = _precision_floor(weight), BasisKind(kind)
@@ -719,10 +712,7 @@ def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
                      for c, (pu, qu), (pv, qv), (pw, qw) in terms)
         if not count:
             return VerificationReport(weight, kind, 0, None, vanish)
-    try:
-        window = _residue_window(weight, BasisKind.NEW_M if kind is BasisKind.NEW_S else kind, m)
-    except ZeroDivisionError:
-        return exact()
+    window = _residue_window(weight, BasisKind.NEW_M if kind is BasisKind.NEW_S else kind, m)
     if vanish is False or window.determinant() % m == 0:
         return exact()
     return VerificationReport(weight, kind, count, True, vanish, lambda: exact().determinant)

@@ -13,6 +13,13 @@ from .arith import _check_weight, _is_int, sigma
 from .qseries import QSeries, _series
 
 
+@lru_cache(maxsize=None)
+def _constant_term(weight: int) -> tuple[int, int]:
+    """a_0(G_weight) = sigma(weight - 1, 0) in lowest terms, as (numerator,
+    denominator): the package's only reader of sigma(r, 0)."""
+    return sigma(weight - 1, 0).as_integer_ratio()
+
+
 @lru_cache(maxsize=None, typed=True)
 def eisenstein(weight: int, precision: int) -> QSeries:
     """The weight-`weight` Eisenstein series, truncated to `precision` terms.
@@ -26,9 +33,8 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
-    a0 = sigma(weight - 1, 0)
-    tail = [a0.denominator * sigma(weight - 1, m) for m in range(1, precision)]
-    return _series(weight, [a0.numerator, *tail], a0.denominator)
+    p, q = _constant_term(weight)
+    return _series(weight, [p, *[q * sigma(weight - 1, m) for m in range(1, precision)]], q)
 
 
 @lru_cache(maxsize=None, typed=True)

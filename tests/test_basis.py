@@ -899,10 +899,23 @@ def floor_basis(weight: int, kind) -> Basis:
 
 def residue_rows(weight: int, kind: BasisKind) -> list[tuple[int, ...]]:
     """The rows verify_basis certifies `kind` at `weight` on, each over 1:
-    every descriptor realized mod m, new-m's for new-s."""
+    every descriptor realized mod m as a cleared row, new-m's for new-s."""
     kind = BasisKind.NEW_M if kind is BasisKind.NEW_S else kind
     window = basis_module._residue_window(weight, kind, CERTIFY_MODULUS)
     return [numerators for numerators, _ in window._rows]
+
+
+def clearing_factor(descriptor) -> int:
+    """D_i: the product of a_0 denominators that verify_basis's residue
+    window multiplies the exact row of `descriptor` by."""
+    def den(weight):
+        return sigma(weight - 1, 0).denominator
+
+    if isinstance(descriptor, Single):
+        return den(descriptor.weight)
+    if isinstance(descriptor, Product):
+        return den(descriptor.u) * den(descriptor.v)
+    return den(4) ** descriptor.alpha * den(6) ** descriptor.beta
 
 
 class TestResidueRoute:
@@ -916,14 +929,20 @@ class TestResidueRoute:
             for kind in BasisKind:
                 basis = floor_basis(weight, kind)
                 series = [el.series for el in basis.elements]
+                descriptors = [el.descriptor for el in basis.elements]
                 if kind is BasisKind.NEW_S:
-                    # the certificate's rows: G_2k, then S_i - c_i G_2k
+                    # the certificate's rows: G_2k, then S_i - c_i G_2k,
+                    # which are new-m's rows and are cleared as new-m's are
                     g = eisenstein(weight, basis.precision)
                     series = [g] + [s - el.descriptor.c * g for s, el in zip(series, basis.elements)]
-                exact = [
-                    tuple(v * pow(s.denominator, -1, m) % m for v in s.numerators[:n])
-                    for s in series
-                ]
+                    descriptors = basis_descriptors(weight, BasisKind.NEW_M)
+                exact = []
+                for s, descriptor in zip(series, descriptors):
+                    # D_i A_i is an integer row, reduced mod m
+                    scaled = [clearing_factor(descriptor) * Fraction(v, s.denominator)
+                              for v in s.numerators[:n]]
+                    assert all(v.denominator == 1 for v in scaled), (weight, kind, descriptor)
+                    exact.append(tuple(int(v) % m for v in scaled))
                 assert residue_rows(weight, kind) == exact, (weight, kind)
                 assert verify_basis(weight, kind) == verify_report(basis), (weight, kind)
 
@@ -943,15 +962,26 @@ class TestResidueRoute:
         assert report.nonsingular is True
         assert False in calls  # the exact elimination decided
 
-    @pytest.mark.parametrize("kind", list(BasisKind))
-    def test_a_denominator_the_modulus_divides_falls_back(self, kind, monkeypatch):
-        # 7 divides the a_0 denominators of G_6 and G_12: 504 and 65520
-        monkeypatch.setattr(basis_module, "CERTIFY_MODULUS", 7)
+    @pytest.mark.parametrize("modulus", [7, 11, 13, 691])
+    def test_small_moduli_certify_or_fall_back_to_the_exact_verdict(self, modulus, monkeypatch):
+        # 7, 11 and 13 divide a_0 denominators (504 for G_6, 264 for G_10,
+        # 65520 for G_12) and 691 divides the numerator of a_0(G_12), so
+        # residues vanish often; every verdict must still be the exact one
+        monkeypatch.setattr(basis_module, "CERTIFY_MODULUS", modulus)
         builds = counted_calls(monkeypatch, "basis_for")
-        report = verify_basis(12, kind)
-        assert builds == [(12, BasisKind(kind), 3)]
-        assert report.confirmed
-        assert report == verify_report(basis_for(12, kind))
+        fell_back = {}
+        for weight in range(4, 62, 2):
+            for kind in BasisKind:
+                before = len(builds)
+                report = verify_basis(weight, kind)
+                fell_back[weight, kind] = len(builds) > before
+                assert report == verify_report(floor_basis(weight, kind)), (weight, kind)
+                exact = None if report.determinant is None else report.determinant != 0
+                assert report.nonsingular == exact, (weight, kind)
+        if modulus == 7:
+            # both routes run; at weight 12 the cleared rows certify every kind
+            assert True in fell_back.values() and False in fell_back.values()
+            assert not any(fell_back[12, kind] for kind in BasisKind)
 
     def test_weight_240_builds_no_series_until_a_determinant_is_read(self, monkeypatch):
         names = ("new_basis", "cusp_basis", "classical_basis")

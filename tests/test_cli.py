@@ -282,9 +282,9 @@ class TestBasisDocumentRealization:
         doc["elements"][position]["descriptor"][key] = value
         count = len(doc["elements"])
         extra = dict(doc, elements=doc["elements"] + [doc["elements"][position]])
-        # the cusp corrections read sigma in basis, and sigma reads arith's bernoulli
-        for module in (EISENSTEIN_MODULE, eisbasis.basis):
-            monkeypatch.setattr(module, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
+        # every constant term, the cusp corrections' too, reads sigma in
+        # eisenstein, and sigma reads arith's bernoulli
+        monkeypatch.setattr(EISENSTEIN_MODULE, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
         monkeypatch.setattr(
             eisbasis.arith, "bernoulli", bounded("bernoulli", eisbasis.arith.bernoulli, 0)
         )
