@@ -41,12 +41,12 @@ def bernoulli(n: int) -> Fraction:
 
 def sigma(r: int, m: int) -> int | Fraction:
     """Divisor power sum sigma_r(m) = sum of d^r over positive divisors d of m,
-    an int for m >= 1.
+    an int for m >= 1, by trial division: the reference for the Eisenstein
+    divisor sieve, as the package reads only m = 0.  Requires odd r >= 1.
 
-    Requires odd r >= 1.  The value at m = 0 is the Fraction
-    -B_{r+1} / (2 (r+1)), the constant term of the weight-(r+1) Eisenstein
-    series; this extension needs r >= 3 (r = 1 would invoke the
-    quasi-modular weight-2 series and is rejected).
+    The value at m = 0 is the Fraction -B_{r+1} / (2 (r+1)), the constant
+    term of the weight-(r+1) Eisenstein series; this extension needs r >= 3
+    (r = 1 would invoke the quasi-modular weight-2 series and is rejected).
     """
     if not _is_int(r) or r < 1 or r % 2 == 0:
         raise ValueError(f"sigma exponent must be a positive odd integer, got {r}")

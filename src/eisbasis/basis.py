@@ -14,8 +14,8 @@ Construction shares its work.  The products G_u * G_v are cached per
 precision, so new-s reuses the products new-m built; the powers of G_4 and
 G_6 sit in one table per (weight, precision) that every classical basis
 draws from, so a monomial costs a lookup plus at most one multiply.  Like
-the eisenstein() cache, both live for the life of the process, and so do
-the residue series and power tables verify_basis builds, keyed by modulus.
+the eisenstein() cache, both live for the life of the process, as do the
+residue power tables verify_basis builds and the sieved rows of _cleared.
 
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
@@ -68,7 +68,7 @@ from operator import mul
 
 from ._record import Record
 from .arith import _check_weight, _is_int, dimension_data
-from .eisenstein import _constant_term, eisenstein, eisenstein_product
+from .eisenstein import _cleared, _constant_term, eisenstein, eisenstein_product
 from .qseries import QSeries, _as_fraction, _kronecker, _lowest_terms, _numerators
 
 
@@ -93,10 +93,9 @@ class Single(Record):
         return f"G_{self.weight}"
 
     def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
-        """The exact series, or with `modulus` its residues (_eisenstein_residues)."""
-        if modulus is None:
-            return eisenstein(self.weight, precision)
-        return _eisenstein_residues(self.weight, precision, modulus)
+        """The exact series, or with `modulus` the residues of q * G_weight (_cleared)."""
+        w = self.weight
+        return eisenstein(w, precision) if modulus is None else _cleared(w, precision, modulus)
 
 
 class Product(Record):
@@ -112,7 +111,7 @@ class Product(Record):
         """The cached exact product, or with `modulus` the product of residues."""
         if modulus is None:
             return eisenstein_product(self.u, self.v, precision)
-        u, v = (_eisenstein_residues(w, precision, modulus) for w in (self.u, self.v))
+        u, v = (_cleared(w, precision, modulus) for w in (self.u, self.v))
         return _times(u, v, modulus)
 
 
@@ -170,20 +169,6 @@ class Monomial(Record):
             return _eisenstein_power(6, beta, precision, modulus)
         g4 = _eisenstein_power(4, alpha, precision, modulus)
         return _times(g4, _eisenstein_power(6, beta, precision, modulus), modulus)
-
-
-@lru_cache(maxsize=None)
-def _eisenstein_residues(weight: int, length: int, modulus: int) -> tuple[int, ...]:
-    """The cleared series q * G_weight mod `modulus`, for a_0(G_weight) =
-    p/q, to `length` terms: p, then q * sigma_{weight-1}(n) by a divisor
-    sieve of pow(d, weight - 1).  Its products are cleared rows too."""
-    p, q = _constant_term(weight)
-    sums = [p] + [0] * (length - 1)
-    for d in range(1, length):
-        power = pow(d, weight - 1, modulus) * q % modulus
-        for n in range(d, length, d):
-            sums[n] += power
-    return tuple([v % modulus for v in sums])
 
 
 def _times(a, b, modulus: int | None):

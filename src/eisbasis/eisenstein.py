@@ -2,7 +2,8 @@
 
 Only one normalization exists here: constant term -B_w/(2w) and a_1 = 1.
 The unit-constant-term normalization is deliberately absent; mixing the
-two is the classic source of wrong coefficients.
+two is the classic source of wrong coefficients.  Past a_0, every
+coefficient, exact or mod m, comes from one divisor sieve, _cleared.
 """
 
 from __future__ import annotations
@@ -20,21 +21,34 @@ def _constant_term(weight: int) -> tuple[int, int]:
     return sigma(weight - 1, 0).as_integer_ratio()
 
 
+@lru_cache(maxsize=None)
+def _cleared(weight: int, length: int, modulus: int | None = None) -> tuple[int, ...]:
+    """The cleared series q * G_weight, a_0(G_weight) = p/q, to `length` terms:
+    p, then q * sigma_{weight-1}(n) by a divisor sieve, reduced mod `modulus`
+    if given.  Called with positional arguments, so each key is cached once."""
+    p, q = _constant_term(weight)
+    sums = [p] + [0] * (length - 1)
+    for d in range(1, length):
+        power = q * pow(d, weight - 1, modulus)
+        for n in range(d, length, d):
+            sums[n] += power
+    return tuple(sums) if modulus is None else tuple([v % modulus for v in sums])
+
+
 @lru_cache(maxsize=None, typed=True)
 def eisenstein(weight: int, precision: int) -> QSeries:
     """The weight-`weight` Eisenstein series, truncated to `precision` terms.
 
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
-    term -B_weight/(2*weight) by the same divisor-sum convention, whose
-    reduced denominator puts the series in lowest terms.  Results are
-    cached, keyed by type too, so a 16.0 is never answered by the 16 entry;
-    the returned series is immutable and safe to share.
+    term -B_weight/(2*weight) by the same divisor-sum convention.  It is the
+    cached tuple _cleared(weight, precision) over a_0's reduced denominator,
+    so in lowest terms.  Results are cached, keyed by type too, so a 16.0 is
+    never answered by the 16 entry; the series is immutable and safe to share.
     """
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:
         raise ValueError(f"precision must be a positive integer, got {precision}")
-    p, q = _constant_term(weight)
-    return _series(weight, [p, *[q * sigma(weight - 1, m) for m in range(1, precision)]], q)
+    return _series(weight, _cleared(weight, precision), _constant_term(weight)[1])
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -283,7 +283,8 @@ class TestBasisDocumentRealization:
         count = len(doc["elements"])
         extra = dict(doc, elements=doc["elements"] + [doc["elements"][position]])
         # every constant term, the cusp corrections' too, reads sigma in
-        # eisenstein, and sigma reads arith's bernoulli
+        # eisenstein, and sigma reads arith's bernoulli; every exact or
+        # residue series starts its divisor sieve from its constant term
         monkeypatch.setattr(EISENSTEIN_MODULE, "sigma", bounded("sigma", eisbasis.arith.sigma, 0))
         monkeypatch.setattr(
             eisbasis.arith, "bernoulli", bounded("bernoulli", eisbasis.arith.bernoulli, 0)

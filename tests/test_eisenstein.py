@@ -1,9 +1,13 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from eisbasis import QSeries, eisenstein, eisenstein_product
-from eisbasis.arith import bernoulli, sigma
+from eisbasis.arith import bernoulli, dimension_data, sigma
+from eisbasis.basis import CERTIFY_MODULUS
+
+EISENSTEIN_MODULE = importlib.import_module("eisbasis.eisenstein")
 
 
 @pytest.mark.parametrize(
@@ -65,7 +69,8 @@ def test_constant_term_is_the_literal_definition():
 
 
 def test_positive_integer_coefficients_past_the_constant():
-    for weight in range(4, 62, 2):
+    # the divisor sieve against sigma's trial division, the reference
+    for weight in range(4, 242, 2):
         series = eisenstein(weight, 8)
         assert series.coefficient(1) == 1
         for m in range(1, 8):
@@ -77,6 +82,32 @@ def test_positive_integer_coefficients_past_the_constant():
             direct = QSeries(weight, [sigma(weight - 1, m) for m in range(precision)])
             assert eisenstein(weight, precision) == direct
             assert hash(eisenstein(weight, precision)) == hash(direct)
+
+
+@pytest.mark.parametrize("modulus", [7, 691, CERTIFY_MODULUS])
+def test_residue_rows_are_the_exact_cleared_rows_reduced(modulus):
+    # 7 divides a_0(G_6)'s denominator 504, so G_6's row is 0 past a_0, and
+    # 691 divides a_0(G_12)'s numerator, so G_12's a_0 reduces to 0
+    for weight in range(4, 242, 2):
+        length = dimension_data(weight).dim_cusp + 2
+        exact = eisenstein(weight, length).numerators
+        residues = EISENSTEIN_MODULE._cleared(weight, length, modulus)
+        assert residues == tuple(v % modulus for v in exact)
+
+
+def test_sigma_is_read_only_for_the_constant_term(monkeypatch):
+    # every coefficient past a_0 comes from the divisor sieve; a precision
+    # no other test asks for keeps both caches from answering
+    calls = []
+
+    def recording(r, m):
+        calls.append(m)
+        return sigma(r, m)
+
+    monkeypatch.setattr(EISENSTEIN_MODULE, "sigma", recording)
+    series = eisenstein(22, 173)
+    assert series == QSeries(22, [sigma(21, m) for m in range(173)])
+    assert set(calls) <= {0}
 
 
 @pytest.mark.parametrize(
