@@ -10,12 +10,11 @@ Three families are built:
                     multiple of G_{2k} so the constant term cancels,
 * ``classical``  -- the monomials G_4^alpha * G_6^beta.
 
-Construction shares its work.  The products G_u * G_v are cached per
-precision, so new-s reuses the products new-m built; the powers of G_4 and
-G_6 sit in one table per (weight, precision) that every classical basis
-draws from, so a monomial costs a lookup plus at most one multiply.  Like
-the eisenstein() cache, both live for the life of the process, as do the
-residue power tables verify_basis builds and the sieved rows of _cleared.
+Construction shares its work.  The products G_u * G_v are cached for the
+life of the process, like eisenstein(), so new-s reuses those new-m built.
+Each G_w and the powers of G_4 and G_6 sit in one table per precision, exact
+or mod m, so a monomial costs a lookup plus at most one multiply; the last
+two are kept, as a verify sweep never returns to a window length it passed.
 
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
@@ -94,8 +93,7 @@ class Single(Record):
 
     def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
         """The exact series, or with `modulus` the residues of q * G_weight (_cleared)."""
-        w = self.weight
-        return eisenstein(w, precision) if modulus is None else _cleared(w, precision, modulus)
+        return _eisenstein_power(self.weight, 1, precision, modulus)
 
 
 class Product(Record):
@@ -111,7 +109,7 @@ class Product(Record):
         """The cached exact product, or with `modulus` the product of residues."""
         if modulus is None:
             return eisenstein_product(self.u, self.v, precision)
-        u, v = (_cleared(w, precision, modulus) for w in (self.u, self.v))
+        u, v = (_eisenstein_power(w, 1, precision, modulus) for w in (self.u, self.v))
         return _times(u, v, modulus)
 
 
@@ -176,22 +174,27 @@ def _times(a, b, modulus: int | None):
     return a * b if modulus is None else tuple([v % modulus for v in _kronecker(a, b)])
 
 
-# (weight, precision, modulus) -> {exponent: G_weight^exponent}, exact when
-# modulus is None, for the life of the process, like the eisenstein() cache
-_power_tables: dict[tuple[int, int, int | None], dict] = {}
+@lru_cache(maxsize=2, typed=True)
+def _table(precision: int, modulus: int | None) -> dict:
+    """{weight: {exponent: G_weight^exponent}} to `precision` terms, exact, or
+    cleared residue rows mod `modulus`.  Two are kept, as no traffic holds
+    more: verify's window (n, CERTIFY_MODULUS) and one exact precision."""
+    return {}
 
 
 def _eisenstein_power(weight: int, exponent: int, precision: int, modulus: int | None = None):
-    """G_weight^exponent (exponent >= 1) from its shared power table, each
-    missing power one multiply from the one below.  Entries are keyed by
-    exponent, so a concurrent fill is idempotent: at worst two callers
-    repeat a multiply and store the same value."""
-    base = Single(weight).realize(precision, modulus)
-    table = _power_tables.setdefault((weight, precision, modulus), {1: base})
+    """G_weight^exponent (exponent >= 1) from _table, each missing power one
+    multiply from the one below, and G_weight itself eisenstein() or, mod
+    `modulus`, its _cleared row.  A concurrent fill is idempotent: at worst
+    two callers repeat a multiply and store the same value."""
+    powers = _table(precision, modulus).setdefault(weight, {})
+    if 1 not in powers:
+        powers[1] = (eisenstein(weight, precision) if modulus is None
+                     else _cleared(weight, precision, modulus))
     for e in range(2, exponent + 1):
-        if e not in table:
-            table[e] = _times(table[e - 1], table[1], modulus)
-    return table[exponent]
+        if e not in powers:
+            powers[e] = _times(powers[e - 1], powers[1], modulus)
+    return powers[exponent]
 
 
 Descriptor = Single | Product | CuspCombo | Monomial

@@ -21,11 +21,10 @@ def _constant_term(weight: int) -> tuple[int, int]:
     return sigma(weight - 1, 0).as_integer_ratio()
 
 
-@lru_cache(maxsize=None)
 def _cleared(weight: int, length: int, modulus: int | None = None) -> tuple[int, ...]:
     """The cleared series q * G_weight, a_0(G_weight) = p/q, to `length` terms:
     p, then q * sigma_{weight-1}(n) by a divisor sieve, reduced mod `modulus`
-    if given.  Called with positional arguments, so each key is cached once."""
+    if given.  Not cached: eisenstein() and basis._table keep what they read."""
     p, q = _constant_term(weight)
     sums = [p] + [0] * (length - 1)
     for d in range(1, length):
@@ -41,9 +40,9 @@ def eisenstein(weight: int, precision: int) -> QSeries:
 
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
     term -B_weight/(2*weight) by the same divisor-sum convention.  It is the
-    cached tuple _cleared(weight, precision) over a_0's reduced denominator,
-    so in lowest terms.  Results are cached, keyed by type too, so a 16.0 is
-    never answered by the 16 entry; the series is immutable and safe to share.
+    tuple _cleared(weight, precision) over a_0's reduced denominator, so in
+    lowest terms.  Results are cached, keyed by type too, so a 16.0 is never
+    answered by the 16 entry; the series is immutable and safe to share.
     """
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:

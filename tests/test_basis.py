@@ -154,6 +154,10 @@ class TestCuspCorrections:
             (classical_basis, 24, 23, 23.0),
             # the type is checked before the floor comparison could raise TypeError
             (new_basis, 12, 16, "16"),
+            # a descriptor realized on its own reads the shared series table,
+            # whose entry for the int precision must not answer the float
+            (lambda weight, p: Single(weight).realize(p), 12, 16, 16.0),
+            (lambda weight, p: Monomial(weight // 4, 0).realize(p), 12, 16, 16.0),
         ],
     )
     def test_precision_that_is_not_an_int_is_rejected_whether_or_not_its_int_basis_was_built(
@@ -945,6 +949,15 @@ class TestResidueRoute:
                     exact.append(tuple(int(v) % m for v in scaled))
                 assert residue_rows(weight, kind) == exact, (weight, kind)
                 assert verify_basis(weight, kind) == verify_report(basis), (weight, kind)
+                assert basis_module._table.cache_info().currsize <= 2
+        # downward, every window length was passed and its table evicted, so
+        # each is rebuilt; no more than two tables are ever held
+        for weight in range(120, 2, -2):
+            for kind in BasisKind:
+                report = verify_basis(weight, kind)
+                assert basis_module._table.cache_info().currsize <= 2
+                assert report == verify_report(floor_basis(weight, kind)), (weight, kind)
+                assert basis_module._table.cache_info().currsize <= 2
 
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_a_zero_residue_falls_back_to_the_exact_path(self, kind, monkeypatch):
