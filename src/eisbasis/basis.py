@@ -10,11 +10,11 @@ Three families are built:
                     multiple of G_{2k} so the constant term cancels,
 * ``classical``  -- the monomials G_4^alpha * G_6^beta.
 
-Construction shares its work.  The products G_u * G_v are cached for the
-life of the process, like eisenstein(), so new-s reuses those new-m built.
-Each G_w and the powers of G_4 and G_6 sit in one table per precision, exact
-or mod m, so a monomial costs a lookup plus at most one multiply; the last
-two are kept, as a verify sweep never returns to a window length it passed.
+Construction shares its work through one store: every G_w, power of G_4
+and G_6 and product G_u * G_v a build or window reads sits in one table per
+precision, exact or mod m, so a monomial costs a lookup plus at most one
+multiply and new-s reuses new-m's products; the last two tables are kept,
+as a verify sweep never returns to a window length it passed.
 
 Certification never touches floating point: a family is confirmed as a
 basis when its element count equals the space's dimension and the leading
@@ -41,7 +41,7 @@ for S_i = N_i/D_i, c_i = p_i/q_i and G_2k = g/d, each cancelled once.
 The last four determinants are kept, keyed by their exact integer rows, so
 certifying new-s after new-m and classical, as verify does, repeats no
 elimination: the new-s residue matrix is new-m's, and so is the exact one
-when it is read.  Unlike the series caches the memo is bounded, and a hit
+when it is read.  Like the series table the memo is bounded, and a hit
 needs an identical integer matrix, so it never changes a determinant.
 
 Expressing a form in coordinates solves the leading square window by p-adic
@@ -67,7 +67,7 @@ from operator import mul
 
 from ._record import Record
 from .arith import _check_weight, _is_int, dimension_data
-from .eisenstein import _cleared, _constant_term, eisenstein, eisenstein_product
+from .eisenstein import _cleared, _constant_term, _eisenstein
 from .qseries import QSeries, _as_fraction, _kronecker, _lowest_terms, _numerators
 
 
@@ -106,11 +106,11 @@ class Product(Record):
         return f"G_{self.u}*G_{self.v}"
 
     def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
-        """The cached exact product, or with `modulus` the product of residues."""
-        if modulus is None:
-            return eisenstein_product(self.u, self.v, precision)
-        u, v = (_eisenstein_power(w, 1, precision, modulus) for w in (self.u, self.v))
-        return _times(u, v, modulus)
+        """G_u * G_v from _table under (u, v), exact or mod `modulus`, filled on a miss."""
+        key, table = (self.u, self.v), _table(precision, modulus)
+        if key not in table:
+            table[key] = _times(*(_eisenstein_power(w, 1, precision, modulus) for w in key), modulus)
+        return table[key]
 
 
 class CuspCombo(Record):
@@ -135,8 +135,8 @@ class CuspCombo(Record):
     def realize(self, precision: int) -> QSeries:
         """The corrected product, checked to have an exactly vanishing
         constant term; a nonzero one is an arithmetic bug, not bad input."""
-        product = eisenstein_product(self.u, self.v, precision)
-        series = product + self.c * eisenstein(self.weight, precision)
+        product = Product(self.u, self.v).realize(precision)
+        series = product + self.c * _eisenstein_power(self.weight, 1, precision)
         if series.numerators[0]:
             a0 = series.coefficient(0)
             raise ArithmeticError(f"constant term failed to cancel for {self.label()}: {a0}")
@@ -176,20 +176,20 @@ def _times(a, b, modulus: int | None):
 
 @lru_cache(maxsize=2, typed=True)
 def _table(precision: int, modulus: int | None) -> dict:
-    """{weight: {exponent: G_weight^exponent}} to `precision` terms, exact, or
-    cleared residue rows mod `modulus`.  Two are kept, as no traffic holds
-    more: verify's window (n, CERTIFY_MODULUS) and one exact precision."""
+    """{weight: {exponent: G_weight^exponent}} and {(u, v): G_u * G_v} to
+    `precision` terms, exact or as cleared residue rows mod `modulus`.  Two
+    are kept: verify's window (n, CERTIFY_MODULUS) and one exact precision."""
     return {}
 
 
 def _eisenstein_power(weight: int, exponent: int, precision: int, modulus: int | None = None):
     """G_weight^exponent (exponent >= 1) from _table, each missing power one
-    multiply from the one below, and G_weight itself eisenstein() or, mod
-    `modulus`, its _cleared row.  A concurrent fill is idempotent: at worst
-    two callers repeat a multiply and store the same value."""
+    multiply from the one below, and G_weight itself the uncached, validated
+    _eisenstein() or, mod `modulus`, its _cleared row.  A concurrent fill is
+    idempotent: at worst two callers repeat a multiply and store one value."""
     powers = _table(precision, modulus).setdefault(weight, {})
     if 1 not in powers:
-        powers[1] = (eisenstein(weight, precision) if modulus is None
+        powers[1] = (_eisenstein(weight, precision) if modulus is None
                      else _cleared(weight, precision, modulus))
     for e in range(2, exponent + 1):
         if e not in powers:
@@ -658,7 +658,7 @@ def verify_report(basis: Basis) -> VerificationReport:
     series, a0 = [el.series for el in basis.elements], 1
     rows = [(s.numerators[start:stop], s.denominator) for s in series]
     if vanish:
-        g = eisenstein(basis.weight, basis.precision)
+        g = _eisenstein_power(basis.weight, 1, basis.precision)
         d, top, a0 = g.denominator, g.numerators[:stop], g.coefficient(0)
         rows = [(top, d)]
         for s, el in zip(series, basis.elements):

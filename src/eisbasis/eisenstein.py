@@ -41,8 +41,10 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     Coefficient a_m is sigma_{weight-1}(m); at m = 0 this is the constant
     term -B_weight/(2*weight) by the same divisor-sum convention.  It is the
     tuple _cleared(weight, precision) over a_0's reduced denominator, so in
-    lowest terms.  Results are cached, keyed by type too, so a 16.0 is never
-    answered by the 16 entry; the series is immutable and safe to share.
+    lowest terms.  Results are cached for the life of the process, keyed by
+    type too, so a 16.0 is never answered by the 16 entry.  No package code
+    reads this cache: it calls the uncached _eisenstein and keeps the series
+    in basis._table.
     """
     _check_weight(weight)
     if not _is_int(precision) or precision < 1:
@@ -50,13 +52,11 @@ def eisenstein(weight: int, precision: int) -> QSeries:
     return _series(weight, _cleared(weight, precision), _constant_term(weight)[1])
 
 
-@lru_cache(maxsize=None, typed=True)
-def eisenstein_product(u: int, v: int, precision: int) -> QSeries:
-    """The product G_u * G_v as a weight-(u+v) series of the given precision.
+_eisenstein = eisenstein.__wrapped__
 
-    Coefficient n is the convolution sum over l of
-    sigma_{u-1}(l) * sigma_{v-1}(n-l), with the m = 0 convention above.
-    Results are cached like eisenstein(), so the cusp basis reuses the
-    products of the full-space basis.
-    """
-    return eisenstein(u, precision) * eisenstein(v, precision)
+
+def eisenstein_product(u: int, v: int, precision: int) -> QSeries:
+    """The weight-(u+v) product G_u * G_v to `precision` terms, not cached:
+    coefficient n is the convolution sum over l of sigma_{u-1}(l) *
+    sigma_{v-1}(n-l), with the m = 0 convention above."""
+    return _eisenstein(u, precision) * _eisenstein(v, precision)

@@ -158,6 +158,7 @@ class TestCuspCorrections:
             # whose entry for the int precision must not answer the float
             (lambda weight, p: Single(weight).realize(p), 12, 16, 16.0),
             (lambda weight, p: Monomial(weight // 4, 0).realize(p), 12, 16, 16.0),
+            (lambda weight, p: Product(4, 8).realize(p), 12, 16, 16.0),
         ],
     )
     def test_precision_that_is_not_an_int_is_rejected_whether_or_not_its_int_basis_was_built(
@@ -205,9 +206,9 @@ class TestClassicalBasis:
                 assert el.series == expected, el.descriptor
 
     def test_shared_tables_match_fresh_products_as_precision_moves(self):
-        # the power tables and the product cache are shared across calls;
-        # an entry keyed without its precision would come back at the
-        # wrong length or with the wrong coefficients
+        # the series tables, powers and products alike, are shared across
+        # calls; an entry keyed without its precision would come back at
+        # the wrong length or with the wrong coefficients
         weight = 48
         for precision in (16, 24, 40, 24, 16, 12):
 
@@ -231,6 +232,22 @@ class TestClassicalBasis:
                 u, v, c = el.descriptor.u, el.descriptor.v, el.descriptor.c
                 expected = fresh(u) * fresh(v) + c * fresh(weight)
                 assert el.series == expected, (precision, el.descriptor)
+
+    def test_builds_keep_series_only_in_the_bounded_table(self, monkeypatch):
+        # no build fills eisenstein()'s unbounded cache, and at most two
+        # tables are held however many weights are built
+        size = eisenstein.cache_info().currsize
+        for weight in range(4, 122, 2):
+            for kind in BasisKind:
+                basis_for(weight, kind)
+                assert basis_module._table.cache_info().currsize <= 2, (weight, kind)
+        assert eisenstein.cache_info().currsize == size
+        # new-s reads the products and G_96 new-m left in the table at its
+        # precision, so it multiplies no series of its own
+        new_basis(96)
+        calls = counted_calls(monkeypatch, "_times")
+        cusp_basis(96)
+        assert calls == []
 
     def test_labels(self):
         assert [el.descriptor.label() for el in classical_basis(36, 6).elements] == [

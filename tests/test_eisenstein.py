@@ -47,7 +47,8 @@ def test_rejects_bad_precision(bad):
     [(eisenstein, (4, 3)), (eisenstein_product, (4, 8, 3)), (eisenstein, (6, 1005))],
 )
 def test_float_precision_is_rejected_whether_or_not_its_int_is_cached(series, args):
-    # the caches are typed, so the int entry never answers a float key
+    # eisenstein's cache is typed, so its int entry never answers a float
+    # key; eisenstein_product has no cache and checks every call
     *head, precision = args
     message = f"^precision must be a positive integer, got {float(precision)}$"
     with pytest.raises(ValueError, match=message):
