@@ -23,12 +23,13 @@ weight-2k space vanishing in its first dim-many coefficients is zero, so
 that pairing is non-degenerate and the determinant test is sound.  For an
 integer matrix R, det(R mod m) = det(R) mod m, so elimination on R mod
 m = 2^31 - 1 proves det(R) != 0 by a nonzero residue: R is the cleared
-numerator rows in nonsingular(), and in verify_basis, which builds no
+numerator rows in verify_report, and in verify_basis, which builds no
 series, R_i = D_i * A_i mod m from residues of q * G_w, a_0(G_w) = p/q, for
 the exact row A_i and D_i a product of a_0 denominators, so det(R) =
-prod(D_i) * det(A).  Only a residue of 0 builds A, as `determinant` does.
+prod(D_i) * det(A).  One packed elimination mod m, _eliminate, gives every
+residue and inverse; only a residue of 0 builds A, as `determinant` does.
 
-The new-s determinant is taken through new-m's matrix.  When every new-s
+The exact new-s determinant is taken through new-m's matrix.  When every new-s
 element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
 G_2k and S_i - c_i * G_2k becomes, after adding c_i times the first row
 to row i, block-triangular with first column (a_0(G_2k), 0, ..., 0), so
@@ -38,11 +39,9 @@ it serves whenever the constant terms vanish; with c_i the cusp correction
 the rows are the new-m products, whose entries are a few times smaller.
 They are integer rows: N_i L/D_i - p_i g L/(q_i d) over L = lcm(D_i, q_i d),
 for S_i = N_i/D_i, c_i = p_i/q_i and G_2k = g/d, each cancelled once.
-The last four determinants are kept, keyed by their exact integer rows, so
-certifying new-s after new-m and classical, as verify does, repeats no
-elimination: the new-s residue matrix is new-m's, and so is the exact one
-when it is read.  Like the series table the memo is bounded, and a hit
-needs an identical integer matrix, so it never changes a determinant.
+The last four exact determinants are kept, keyed by their integer rows, so
+reading new-s's after new-m's repeats no elimination; like the series table
+the memo is bounded, and a hit needs an identical matrix.
 
 Expressing a form in coordinates solves the leading square window by p-adic
 (Dixon) lifting on the target's integer numerators over their denominator
@@ -179,6 +178,8 @@ def _table(precision: int, modulus: int | None) -> dict:
     """{weight: {exponent: G_weight^exponent}} and {(u, v): G_u * G_v} to
     `precision` terms, exact or as cleared residue rows mod `modulus`.  Two
     are kept: verify's window (n, CERTIFY_MODULUS) and one exact precision."""
+    if not _is_int(precision) or precision < 1:  # before a table exists
+        raise ValueError(f"precision must be a positive integer, got {precision}")
     return {}
 
 
@@ -359,8 +360,7 @@ def basis_for(weight: int, kind: BasisKind | str, precision: int | None = None) 
     return classical_basis(weight, precision)
 
 
-# the prime RatMatrix.nonsingular() works modulo; Bareiss on n-square
-# residues grows entries to about 31n bits, half what 2^61 - 1 would give
+# the prime every residue certificate works modulo, read at call time
 CERTIFY_MODULUS = (1 << 31) - 1
 
 
@@ -373,10 +373,11 @@ class RatMatrix:
     of ints (not bools), denominator > 0, holding the entries numerators[j] /
     denominator.  There must be at least one row, and the matrix must be
     square.  Each row is kept in lowest terms, which makes the cleared rows
-    of a matrix of rationals unique.
+    of a matrix of rationals unique.  With a `modulus` m it holds the
+    numerators mod m, over 1, and its determinant is theirs mod m, kept.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, modulus: int | None = None):
         # a square matrix with a row has a column too
         if not rows:
             raise ValueError("matrix needs at least one row and one column")
@@ -390,9 +391,9 @@ class RatMatrix:
                 raise TypeError(f"{bad.__name__} values are not allowed; use Fraction or int")
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
-            cleared.append(_lowest_terms(numerators, den))
-        self._rows = tuple(cleared)
-        self._kept = None
+            cleared.append(_lowest_terms(numerators, den) if modulus is None
+                           else (tuple([v % modulus for v in numerators]), 1))
+        self._rows, self._modulus, self._kept = tuple(cleared), modulus, None
 
     @property
     def rows(self) -> int:
@@ -402,23 +403,30 @@ class RatMatrix:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
 
     def nonsingular(self) -> bool:
-        """Whether det != 0, certified modulo the prime m = CERTIFY_MODULUS:
-        det(N mod m) = det(N) mod m for the cleared numerators N, so a
-        nonzero residue proves it; only a residue of 0 asks for the exact
-        determinant.  Both are determinant() calls, which the memo serves."""
-        m = CERTIFY_MODULUS
-        residues = RatMatrix([([v % m for v in numerators], 1) for numerators, _ in self._rows])
-        return residues.determinant() % m != 0 or self.determinant() != 0
+        """Whether det != 0, by the numerators' residue mod CERTIFY_MODULUS unless it is 0."""
+        return RatMatrix(self._rows, CERTIFY_MODULUS).determinant() != 0 or self.determinant() != 0
 
-    def determinant(self) -> Fraction:
-        """Exact determinant, by Bareiss elimination on the cleared rows.
+    def determinant(self) -> Fraction | int:
+        """The exact determinant, or with a modulus the residue.  At a zero
+        residue mod m = CERTIFY_MODULUS, y N = 0 mod m for the last row y of the
+        transform (_eliminate), so z_i = y_i D_i, scaled to a unit entry 1, has
+        sum z_i A_i = 0 mod m on the rows A_i = N_i / D_i; read back small, a z
+        that holds exactly proves det = 0, and otherwise Bareiss decides."""
+        if self._modulus:
+            return self._residue
+        m, numerators = CERTIFY_MODULUS, [row for row, _ in self._rows]
+        residue, transform = _eliminate(numerators, m, True)
+        z = [y * d % m for y, (_, d) in zip(transform[-1], self._rows)]
+        unit = next((pow(v, -1, m) for v in z if gcd(v, m) == 1), None)
+        read = unit and not residue and _reconstruct_vector([v * unit % m for v in z], m)
+        common = lcm(*[d for _, d in self._rows])
+        w = read and [v * (common // d) for v, (_, d) in zip(read[0], self._rows)]
+        dependent = w and not any(sum(map(mul, w, column)) for column in zip(*numerators))
+        return Fraction(0) if dependent else _bareiss(self._rows)
 
-        The results for the last four matrices are kept for the process,
-        keyed by those exact integer rows, so a matrix seen again
-        (verify_report's new-s matrix is new-m's) costs a lookup.  A hit
-        needs an identical matrix, so it cannot change the answer.
-        """
-        return _bareiss(self._rows)
+    @cached_property
+    def _residue(self) -> int:
+        return _eliminate([numerators for numerators, _ in self._rows], self._modulus)
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly: each entry of rhs passes the rational
@@ -497,23 +505,23 @@ class RatMatrix:
         scales, which divide E, invertible mod m, and rational reconstruction
         works for any m.  The first pair found is kept with the matrix and
         reused while its modulus is coprime to E.  Each modulus that fails
-        for N asks the exact determinant, memoised by _bareiss, if it is 0.
+        for N asks the exact determinant if it is 0.
         """
         if self._kept and gcd(den, self._kept[0]) == 1:
             return self._kept
         for m in range((1 << 61) - 1, 1, -2):
             if gcd(den, m) != 1:
                 continue
-            inverse = _inverse_mod([numerators for numerators, _ in self._rows], m)
-            if inverse is not None:
+            residue, inverse = _eliminate([numerators for numerators, _ in self._rows], m, True)
+            if residue:
                 self._kept = self._kept or (m, inverse)
                 return m, inverse
             if self.determinant() == 0:
                 raise ValueError("matrix is singular")
 
 
-# verify certifies new-m, classical, then new-s, whose matrix is new-m's;
-# four matrices cover that order with room to spare
+# exact determinants are read lazily; new-s's is new-m's matrix, and four
+# matrices cover reading new-m, classical and new-s with room to spare
 @lru_cache(maxsize=4)
 def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
     """The determinant of the square matrix with cleared rows `rows`.
@@ -550,26 +558,41 @@ def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], prod(den for _, den in rows))
 
 
-def _inverse_mod(rows: list[tuple[int, ...]], m: int) -> list[list[int]] | None:
-    """The inverse modulo m of the square integer matrix `rows`, by
-    Gauss-Jordan elimination on [rows | I] with unit pivots, or None when a
-    column has no unit left to pivot on.  That includes every m at which
-    the matrix is singular; a composite m may also fail for an invertible
-    one."""
+def _eliminate(rows, m: int, track: bool = False):
+    """det(rows) mod m by elimination on unit pivots, 0 if a column has none
+    (for a prime m, det = 0 mod m); with `track`, (det, E) for the transform
+    E of [rows | I]: rows^-1 when det != 0, else (m prime) y * rows = 0 for
+    E's last row y.  Each row is one int, 2 bits(m) + bits(n) + 2 bits an
+    entry, so a row update is one big-int multiply-add whose slots, at most
+    n additions below m^2, never carry; only the pivot row is reduced, once
+    a step (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS 35, 2008)."""
     n = len(rows)
-    a = [[v % m for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    width = (2 * m.bit_length() + n.bit_length() + 9) // 8
+    shift, mask, size = 8 * width, (1 << 8 * width) - 1, 2 * n if track else n
+
+    def unpack(packed, count, scale=1):
+        raw = packed.to_bytes(width * count, "little")
+        return [int.from_bytes(raw[i : i + width], "little") * scale % m
+                for i in range(0, width * count, width)]
+
+    raw = b"".join([(v % m).to_bytes(width, "little") for row in rows for v in row])
+    a = [int.from_bytes(raw[i : i + width * n], "little") for i in range(0, len(raw), width * n)]
+    a = [row | track << shift * (n + i) for i, row in enumerate(a)]
+    det, r = 1, 0
     for k in range(n):
-        pivot = next((i for i in range(k, n) if gcd(a[i][k], m) == 1), None)
+        pivot = next((i for i in range(r, n) if gcd(a[i] & mask, m) == 1), None)
         if pivot is None:
-            return None
-        a[k], a[pivot] = a[pivot], a[k]
-        inverse = pow(a[k][k], -1, m)
-        top = a[k] = [v * inverse % m for v in a[k]]
-        for i, row in enumerate(a):
-            factor = row[k]
-            if factor and i != k:
-                a[i] = [(v - factor * t) % m for v, t in zip(row, top)]
-    return [row[n:] for row in a]
+            det, a = 0, [row >> shift for row in a]
+            continue
+        a[r], a[pivot], det = a[pivot], a[r], det if pivot == r else -det
+        p = (a[r] & mask) % m
+        det, scaled = det * p % m, unpack(a[r], size - k, pow(p, -1, m))
+        top = int.from_bytes(b"".join([v.to_bytes(width, "little") for v in scaled]), "little")
+        for i in range(0 if track else r + 1, n):
+            f = (a[i] & mask) % m
+            a[i] = (a[i] + (m - f) * top if f and i != r else a[i]) >> shift
+        a[r], r = top >> shift, r + 1
+    return (det, [unpack(row, n) for row in a]) if track else det
 
 
 def _reconstruct_vector(residues: list[int], m: int) -> tuple[list[int], int] | None:
@@ -609,7 +632,7 @@ def _reconstruct_vector(residues: list[int], m: int) -> tuple[list[int], int] | 
 class VerificationReport(Record):
     """Outcome of the exact basis certification for one weight and kind.
 
-    ``nonsingular`` (RatMatrix.nonsingular) is None only for the vacuous
+    ``nonsingular``, the certified verdict, is None only for the vacuous
     empty cusp basis.  ``constant_terms_vanish`` is None for the full-space
     kinds, where no vanishing is expected.  ``determinant`` is the exact
     value, computed on first read by calling `exact`; it is not a field.
@@ -639,14 +662,14 @@ def verify_report(basis: Basis) -> VerificationReport:
     """Certify an already-built basis.
 
     The square matrix with one row per element, holding its coefficients
-    over ``basis.window``, must be non-singular (RatMatrix.nonsingular).
-    Cusp kind: every constant term must also vanish exactly.
+    over ``basis.window``, must be non-singular, as RatMatrix.nonsingular
+    certifies.  Cusp kind: every constant term must also vanish exactly.
 
-    When they all vanish, the new-s matrix is certified through the rows
-    G_2k and S_i - c_i * G_2k over a_0..a_n, whose determinant is a_0(G_2k)
-    times the new-s one, for any c_i (see the module docstring); c_i is the
-    element's correction, or 0 when it has none.  Untampered, those rows
-    are new-m's matrix, whose residue determinant the memo usually holds.
+    When they all vanish, the exact new-s determinant, asked on a zero
+    residue or read, is taken through the rows G_2k and S_i - c_i * G_2k
+    over a_0..a_n, whose determinant is a_0(G_2k) times the new-s one, for
+    any c_i (see the module docstring); c_i is the element's correction, or
+    0 when it has none.  Untampered, those rows are new-m's matrix.
     """
     count = len(basis.elements)
     vanish = None
@@ -655,34 +678,38 @@ def verify_report(basis: Basis) -> VerificationReport:
     if not count:
         return VerificationReport(basis.weight, basis.kind, count, None, vanish)
     start, stop = basis.window.start, basis.window.stop
-    series, a0 = [el.series for el in basis.elements], 1
+    series = [el.series for el in basis.elements]
     rows = [(s.numerators[start:stop], s.denominator) for s in series]
-    if vanish:
+
+    def exact() -> Fraction:
+        if not vanish:
+            return RatMatrix(rows).determinant()
         g = _eisenstein_power(basis.weight, 1, basis.precision)
-        d, top, a0 = g.denominator, g.numerators[:stop], g.coefficient(0)
-        rows = [(top, d)]
+        d, top = g.denominator, g.numerators[:stop]
+        through = [(top, d)]
         for s, el in zip(series, basis.elements):
             c = getattr(el.descriptor, "c", 0)
             den = lcm(s.denominator, c.denominator * d)
             a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
-            rows.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
-    matrix = RatMatrix(rows)
-    return VerificationReport(basis.weight, basis.kind, count, matrix.nonsingular(), vanish,
-                              lambda: matrix.determinant() / a0)
+            through.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
+        return RatMatrix(through).determinant() / g.coefficient(0)
+
+    nonsingular = RatMatrix(rows, CERTIFY_MODULUS).determinant() != 0 or exact() != 0
+    return VerificationReport(basis.weight, basis.kind, count, nonsingular, vanish, exact)
 
 
 @lru_cache(maxsize=2)
 def _residue_window(weight: int, kind: BasisKind, modulus: int) -> RatMatrix:
     """Each `kind` descriptor realized mod `modulus` on the window from a_0,
-    over 1.  Two are kept, so new-s after classical reuses new-m's."""
+    over 1.  Two are kept, with their residues, so new-s reads new-m's."""
     descriptors = basis_descriptors(weight, kind)
-    return RatMatrix([(d.realize(len(descriptors), modulus), 1) for d in descriptors])
+    return RatMatrix([(d.realize(len(descriptors), modulus), 1) for d in descriptors], modulus)
 
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
     """verify_report of the `kind` basis at the precision floor, certified
     mod m = CERTIFY_MODULUS on its cleared rows D_i * A_i (_residue_window);
-    new-s on new-m's, as verify_report does, once its constant terms vanish
+    new-s on new-m's, as its exact read does, once its constant terms vanish
     exactly.  A constant term that does not cancel, or a zero residue, falls
     back to verify_report on the floor basis, as reading `determinant` does.
     """
@@ -701,7 +728,7 @@ def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
         if not count:
             return VerificationReport(weight, kind, 0, None, vanish)
     window = _residue_window(weight, BasisKind.NEW_M if kind is BasisKind.NEW_S else kind, m)
-    if vanish is False or window.determinant() % m == 0:
+    if vanish is False or window.determinant() == 0:
         return exact()
     return VerificationReport(weight, kind, count, True, vanish, lambda: exact().determinant)
 

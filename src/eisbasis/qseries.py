@@ -16,12 +16,12 @@ cancels just gcd(p, denominator) * gcd(q, *numerators), all it can make.
 `coeffs` and `coefficient()` build Fractions only at the API edge, for callers
 that read them, and the constructor still accepts any ints and Fractions.
 
-Series-by-series multiplication uses Kronecker substitution: the integer
-numerators of each operand are packed into a single Python int (one
-byte-aligned slot per coefficient, wide enough for any coefficient of the
-product), one bigint multiply does the whole convolution, the low slots
-are unpacked again, and the result lies over the product of the two
-denominators.
+Series-by-series multiplication is a short product: each of the n kept
+coefficients is one C-level sum over its numerator pairs, over the product
+of the two denominators.  Kronecker substitution (_kronecker), which packs
+each operand into one int with slots as wide as the widest coefficient,
+serves residue rows only: exact coefficients span hundreds of bits, and
+most packed bits would be padding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from ._record import Record
 from .arith import _check_weight, _is_int
@@ -163,7 +164,8 @@ class QSeries(Record):
     def __mul__(self, other):
         if isinstance(other, QSeries):
             n = min(len(self.numerators), len(other.numerators))
-            product = _kronecker(self.numerators[:n], other.numerators[:n])
+            a, b = self.numerators, other.numerators
+            product = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)]
             den = self.denominator * other.denominator
             return _series(self.weight + other.weight, *_lowest_terms(product, den))
         c = _as_fraction(other)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own computation paths:
 Bernoulli numbers come from the full recurrence over all indices, divisor
 sums from exhaustive enumeration, series products from the schoolbook
-convolution sum, determinants from Leibniz expansion, linear solves from
-Gaussian elimination over Fractions, and the discriminant cusp form from
-the unit-normalized series combination.  The Hecke operators T_p act on
+convolution sum, determinants from Leibniz expansion, inverses mod m from
+plain Gauss-Jordan elimination, linear solves from Gaussian elimination
+over Fractions, and the discriminant cusp form from the unit-normalized
+series combination.  The Hecke operators T_p act on
 coefficients directly, and the traces express() gives them are checked
 against the Eichler-Selberg trace formula, with Hurwitz class numbers
 counted from reduced binary quadratic forms.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from eisbasis import (
     Basis,
@@ -187,6 +188,26 @@ def rat_matrix(rows) -> RatMatrix:
         den = lcm(*[x.denominator for x in row])
         cleared.append(([x.numerator * (den // x.denominator) for x in row], den))
     return RatMatrix(cleared)
+
+
+def inverse_mod(rows: list[list[int]], m: int) -> list[list[int]] | None:
+    """The inverse modulo m of the square integer matrix `rows`, by plain
+    Gauss-Jordan elimination on [rows | I] with unit pivots, every entry
+    kept below m, or None when a column has no unit left to pivot on."""
+    n = len(rows)
+    a = [[v % m for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if gcd(a[i][k], m) == 1), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        inverse = pow(a[k][k], -1, m)
+        top = a[k] = [v * inverse % m for v in a[k]]
+        for i, row in enumerate(a):
+            factor = row[k]
+            if factor and i != k:
+                a[i] = [(v - factor * t) % m for v, t in zip(row, top)]
+    return [row[n:] for row in a]
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

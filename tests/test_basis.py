@@ -42,6 +42,7 @@ from helpers import (
     eichler_selberg_trace,
     gauss_solve,
     hecke,
+    inverse_mod,
     hecke_traces,
     rat_matrix,
     trace_formula_mismatches,
@@ -63,6 +64,22 @@ def counted_calls(monkeypatch, name):
 
     monkeypatch.setattr(basis_module, name, counted)
     return calls
+
+
+def factor_moduli(monkeypatch) -> list[int]:
+    """Record the modulus of every _eliminate call that inverts a window for
+    a solve: the tracked calls, less those the exact determinant makes at
+    CERTIFY_MODULUS; returns the list it records into."""
+    moduli = []
+    eliminate = basis_module._eliminate
+
+    def recorded(rows, m, track=False):
+        if track and m != CERTIFY_MODULUS:
+            moduli.append(m)
+        return eliminate(rows, m, track)
+
+    monkeypatch.setattr(basis_module, "_eliminate", recorded)
+    return moduli
 
 
 def determinant_calls(monkeypatch) -> list[bool]:
@@ -170,6 +187,18 @@ class TestCuspCorrections:
         build(weight, precision)
         with pytest.raises(ValueError, match=message):
             build(weight, bad)
+
+    def test_a_rejected_float_precision_evicts_no_series_table(self):
+        # a float precision is refused before a table is made for it, so the
+        # two tables kept stay those of the last builds
+        table = basis_module._table
+        new_basis(40)
+        for realize, bad in ((Product(4, 8).realize, 16.0), (Monomial(3, 0).realize, 17.0)):
+            with pytest.raises(ValueError, match=f"^precision must be a positive integer, got {bad}$"):
+                realize(bad)
+        misses = table.cache_info().misses
+        new_basis(40)
+        assert table.cache_info().misses == misses
 
     def test_basis_for_calls_each_builder_by_its_module_name(self, monkeypatch):
         # the benchmark's tracer records builds by rebinding these names
@@ -423,9 +452,9 @@ class TestRatMatrix:
         # of them composite, and is inverted at the fifth, also composite
         moduli = [FIRST_PRIME - 2 * i for i in range(5)]
         product = prod(moduli[:4])
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         assert rat_matrix([[product, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, product), 1]
-        assert [m for _, m in factorisations] == moduli
+        assert factorisations == moduli
 
     def test_solve_at_an_invertible_modulus_with_no_unit_pivot(self, monkeypatch):
         # 2^61 - 3 = 29 * q, and b = q / 29 mod 2^61 - 1, so the matrix is
@@ -436,9 +465,9 @@ class TestRatMatrix:
         assert gcd(29 * rows[1][1] - q, FIRST_PRIME - 2) == 1
         memo = basis_module._bareiss
         before = memo.cache_info()
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         assert rat_matrix(rows).solve([1, 1]) == gauss_solve(rows, [1, 1])
-        assert [m for _, m in factorisations] == [FIRST_PRIME, FIRST_PRIME - 2, FIRST_PRIME - 4]
+        assert factorisations == [FIRST_PRIME, FIRST_PRIME - 2, FIRST_PRIME - 4]
         after = memo.cache_info()
         # the determinant is eliminated once, then read from the memo
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
@@ -448,10 +477,10 @@ class TestRatMatrix:
         # scale of 29 skips that modulus, both kept and in the search
         p = FIRST_PRIME
         matrix = rat_matrix([[p, 0], [0, 1]])
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         assert matrix.solve([1, 1]) == [Fraction(1, p), 1]
         assert matrix.solve([Fraction(1, 29), 1]) == [Fraction(1, 29 * p), 1]
-        assert [m for _, m in factorisations] == [p, p - 2, p, p - 4]
+        assert factorisations == [p, p - 2, p, p - 4]
 
     def test_solve_with_the_first_prime_as_a_denominator(self):
         p = FIRST_PRIME
@@ -496,7 +525,7 @@ class TestRatMatrix:
         assert rat_matrix(rows).determinant() != 0
         x = [Fraction(rng.getrandbits(500) | 1 << 499, rng.randint(1, 10**6)) for _ in range(4)]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-        factorisations, moduli = counted_calls(monkeypatch, "_inverse_mod"), []
+        factorisations, moduli = factor_moduli(monkeypatch), []
         reconstruct = basis_module._reconstruct_vector
 
         def recorded(residues, m):
@@ -507,7 +536,7 @@ class TestRatMatrix:
         assert rat_matrix(rows).solve(rhs) == x
         # a 500-bit numerator cannot be read back from fewer than 9 base-p
         # digits, and every digit is lifted with the one factorisation
-        assert [p for _, p in factorisations] == [FIRST_PRIME]
+        assert factorisations == [FIRST_PRIME]
         assert moduli[-1] >= FIRST_PRIME**9
         assert all(FIRST_PRIME ** round(m.bit_length() / 61) == m for m in moduli)
 
@@ -518,10 +547,10 @@ class TestRatMatrix:
         rows = [[1, 2], [3, 4]]
         matrix = rat_matrix(rows)
         assert matrix.solve([1, 1]) == gauss_solve(rows, [1, 1])
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         for rhs in ([Fraction(1, p), 1], [Fraction(3, 7), Fraction(5, p * p)]):
             assert matrix.solve(rhs) == gauss_solve(rows, rhs)
-        assert [q for _, q in factorisations] == [second, second]
+        assert factorisations == [second, second]
         assert matrix.solve([5, Fraction(1, 3)]) == gauss_solve(rows, [5, Fraction(1, 3)])
         assert len(factorisations) == 2
 
@@ -533,11 +562,11 @@ class TestRatMatrix:
         delta = delta_series(21)
         coords = [Fraction(-91, 600), Fraction(2764, 15)]
         assert express(delta, basis) == coords
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         target = eisenstein(12, 21) / FIRST_PRIME + delta
         assert target.denominator % FIRST_PRIME == 0
         assert express(target, basis) == [coords[0] + Fraction(1, FIRST_PRIME), coords[1]]
-        assert [m for _, m in factorisations] == [FIRST_PRIME - 2]
+        assert factorisations == [FIRST_PRIME - 2]
         assert express(delta, basis) == coords
         assert len(factorisations) == 1
 
@@ -836,14 +865,23 @@ class TestNewSThroughNewM:
             assert new_s.determinant * a0 == new_m.determinant, weight
             assert new_s.nonsingular == (new_s.determinant != 0), weight
 
-    def test_after_new_m_and_classical_the_new_s_determinant_is_a_memo_hit(self):
+    def test_new_s_certifies_on_its_own_window_and_reads_new_m_s_exact_value(self, monkeypatch):
+        # the verdict is one residue elimination on a_1..a_n; reading the
+        # exact value goes through new-m's matrix, which the memo holds
         memo = basis_module._bareiss
-        verify_report(new_basis(96))
+        assert verify_report(new_basis(96)).determinant != 0
         verify_report(classical_basis(96))
+        basis = cusp_basis(96)
+        n, m = len(basis.elements), CERTIFY_MODULUS
+        calls = determinant_calls(monkeypatch)
+        eliminations = counted_calls(monkeypatch, "_eliminate")
+        report = verify_report(basis)
+        window = [tuple(v % m for v in el.series.numerators[1 : n + 1]) for el in basis.elements]
+        assert calls == [True]
+        assert eliminations == [(window, m)]
         hits = memo.cache_info().hits
-        report = verify_report(cusp_basis(96))
+        assert report.determinant == window_determinant(basis)
         assert memo.cache_info().hits == hits + 1
-        assert report.determinant == window_determinant(cusp_basis(96))
 
     def test_nonvanishing_constant_term_keeps_the_direct_value(self):
         basis = cusp_basis(36)
@@ -937,6 +975,117 @@ def clearing_factor(descriptor) -> int:
     if isinstance(descriptor, Product):
         return den(descriptor.u) * den(descriptor.v)
     return den(4) ** descriptor.alpha * den(6) ** descriptor.beta
+
+
+def exact_residue(rows, m: int) -> int:
+    """det(rows) mod m for integer rows, by exact Bareiss elimination on
+    the rows reduced mod m."""
+    reduced = tuple((tuple(v % m for v in r), 1) for r in rows)
+    return int(basis_module._bareiss.__wrapped__(reduced)) % m
+
+
+def unimodular_times(rng, n: int, diagonal: list[int]) -> list[list[int]]:
+    """L * diag(diagonal) * U for random unit lower and upper triangular L
+    and U, so the determinant is the product of `diagonal`."""
+    lower = [[rng.randint(-9, 9) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    middle = [[lower[i][j] * diagonal[j] for j in range(n)] for i in range(n)]
+    return [[sum(middle[i][l] * upper[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+
+class TestEliminate:
+    """The packed elimination mod m against exact Bareiss, the plain
+    Gauss-Jordan inverse, and the exact determinant it can skip."""
+
+    def test_residues_match_bareiss_on_every_verify_window_to_240(self):
+        m = CERTIFY_MODULUS
+        for weight in range(4, 242, 2):
+            for kind in (BasisKind.NEW_M, BasisKind.CLASSICAL):
+                rows = residue_rows(weight, kind)
+                assert basis_module._eliminate(rows, m) == exact_residue(rows, m), (weight, kind)
+            # verify_report's new-s residue window: a_1..a_n of the built series
+            basis = floor_basis(weight, BasisKind.NEW_S)
+            n = len(basis.elements)
+            if n:
+                rows = [el.series.numerators[1 : n + 1] for el in basis.elements]
+                assert basis_module._eliminate(rows, m) == exact_residue(rows, m), weight
+
+    @pytest.mark.parametrize("m", [CERTIFY_MODULUS, 7])
+    def test_residues_match_bareiss_on_random_matrices(self, m):
+        rng = random.Random(4099 + m)
+        for n in range(1, 42):
+            dense = [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(n)]
+            sparse = [[rng.choice((0, 0, rng.randint(-m, m))) for _ in range(n)] for _ in range(n)]
+            # det = m: singular mod m, but not over Q
+            multiple = unimodular_times(rng, n, [m] + [1] * (n - 1))
+            for rows in (dense, sparse, multiple):
+                residue = exact_residue(rows, m)
+                assert basis_module._eliminate(rows, m) == residue, n
+                assert basis_module._eliminate(rows, m, True)[0] == residue, n
+            assert exact_residue(multiple, m) == 0
+
+    @pytest.mark.parametrize("m", [2**61 - 1, 3 * 5 * 7 * (2**31 - 1)])
+    def test_tracked_inverse_matches_plain_gauss_jordan(self, m):
+        # rows scaled by 3, 5 or 7 leave the composite modulus columns with
+        # no unit pivot, and then both give up
+        rng = random.Random(m % 1000)
+        outcomes = set()
+        for n in range(1, 26):
+            for _ in range(3):
+                rows = [[rng.randint(-10**20, 10**20) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.3:
+                    rows = [[v * rng.choice((3, 5, 7)) for v in row] for row in rows]
+                residue, transform = basis_module._eliminate(rows, m, True)
+                expected = inverse_mod(rows, m)
+                outcomes.add(expected is None)
+                assert (residue != 0) == (expected is not None), n
+                if expected is not None:
+                    assert transform == expected, n
+                    assert residue == exact_residue(rows, m)
+        assert outcomes == ({False} if m == 2**61 - 1 else {True, False})
+
+    def test_a_singular_matrix_leaves_a_left_kernel_row(self):
+        m = CERTIFY_MODULUS
+        rng = random.Random(31)
+        for n in range(2, 20):
+            rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n - 1)]
+            rows.insert(rng.randrange(n), [a - 2 * b for a, b in zip(rows[0], rows[-1])])
+            residue, transform = basis_module._eliminate(rows, m, True)
+            y = transform[-1]
+            assert residue == 0 and any(y)
+            assert all(sum(a * r[j] for a, r in zip(y, rows)) % m == 0 for j in range(n))
+
+    @pytest.mark.parametrize("weight", [36, 120, 240])
+    def test_a_dependency_proves_the_singular_control_zero_without_bareiss(self, weight, monkeypatch):
+        basis = new_basis(weight)
+        first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
+        control = with_element(basis, -1, last.descriptor, first.series + second.series)
+        bareiss = counted_calls(monkeypatch, "_bareiss")
+        report = verify_report(control)
+        assert report.nonsingular is False
+        assert report.determinant == 0
+        assert bareiss == []
+
+    @pytest.mark.parametrize("m", [CERTIFY_MODULUS, 7])
+    def test_a_nonzero_multiple_of_the_modulus_is_never_proved_zero(self, m, monkeypatch):
+        monkeypatch.setattr(basis_module, "CERTIFY_MODULUS", m)
+        rng = random.Random(m)
+        for n in range(1, 12):
+            for k in (1, 2, -3):
+                rows = unimodular_times(rng, n, [k * m] + [1] * (n - 1))
+                assert rat_matrix(rows).determinant() == k * m, (n, k)
+                assert rat_matrix(rows).nonsingular() is True
+        # rows that differ by a multiple of m: a small dependency mod m
+        # that does not hold exactly
+        rows = [[1, 2, 3], [1 + m, 2, 3 + 2 * m], [0, 1, 5]]
+        assert rat_matrix(rows).determinant() == det_leibniz(rows) != 0
+
+    def test_new_s_reads_new_m_s_residue_with_no_second_elimination(self, monkeypatch):
+        basis_module._residue_window.cache_clear()
+        eliminations = counted_calls(monkeypatch, "_eliminate")
+        for kind in (BasisKind.NEW_M, BasisKind.CLASSICAL, BasisKind.NEW_S):
+            assert verify_basis(98, kind).confirmed
+        assert len(eliminations) == 2
 
 
 class TestResidueRoute:
@@ -1139,7 +1288,7 @@ class TestExpress:
         assert info.value.index == 0
 
     def test_many_expressions_in_one_basis_factor_its_window_once(self, monkeypatch):
-        factorisations = counted_calls(monkeypatch, "_inverse_mod")
+        factorisations = factor_moduli(monkeypatch)
         rng = random.Random(2024)
         basis = new_basis(60, 2 * dimension_data(60).dim_modular + 8)
         for _ in range(20):

@@ -5,7 +5,28 @@ import pytest
 
 from eisbasis import QSeries, eisenstein
 from eisbasis.arith import sigma
+from eisbasis.basis import CERTIFY_MODULUS, _times
+from eisbasis.eisenstein import _cleared
+from eisbasis.qseries import _kronecker
 from helpers import schoolbook_product
+
+# (n, m) with constant coefficients m reaching the bound n * m * m of a
+# product coefficient just inside or just past a whole number of bytes
+BYTE_BOUNDARIES = [
+    (127, 1),  # bound 127: just inside one byte with its sign bit
+    (1, 11),  # 121: just inside one byte
+    (1, 12),  # 144: just past one byte
+    (2, 8),  # 128: just past one byte
+    (2, 127),  # 32258: just inside two bytes
+    (2, 128),  # 32768: just past two bytes
+    (2, 2**23 - 1),  # just under 2^47: just inside six bytes
+    (2, 2**23),  # 2^47: just past six bytes
+]
+
+
+def schoolbook_ints(a, b) -> list[int]:
+    """The low len(a) coefficients of a * b for integer tuples of one length."""
+    return [sum(a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))]
 
 
 def random_series(rng, weight, precision):
@@ -132,8 +153,9 @@ class TestMultiply:
                 g4**bad
 
 
-class TestKroneckerAgainstSchoolbook:
-    """The packed bigint multiply against the direct Fraction convolution."""
+class TestShortProductAgainstSchoolbook:
+    """The short product of integer numerators against the direct Fraction
+    convolution."""
 
     def check(self, a, b):
         assert a * b == schoolbook_product(a, b)
@@ -176,19 +198,13 @@ class TestKroneckerAgainstSchoolbook:
         small = QSeries(4, (Fraction(1, 3),) + (Fraction(-1),) * 19)
         self.check(big, small)
 
-    @pytest.mark.parametrize(
-        "n, m",
-        [
-            (127, 1),  # bound 127: just inside one byte with its sign bit
-            (1, 11),  # 121: just inside one byte
-            (1, 12),  # 144: just past one byte
-            (2, 8),  # 128: just past one byte
-            (2, 127),  # 32258: just inside two bytes
-            (2, 128),  # 32768: just past two bytes
-            (2, 2**23 - 1),  # just under 2^47: just inside six bytes
-            (2, 2**23),  # 2^47: just past six bytes
-        ],
-    )
+    def test_unbalanced_big_coefficients(self):
+        # G_236's coefficients reach about 1100 bits at 30 terms, G_4's about 20
+        big = eisenstein(236, 30)
+        assert big.numerators[-1].bit_length() > 1000
+        self.check(eisenstein(4, 30), big)
+
+    @pytest.mark.parametrize("n, m", BYTE_BOUNDARIES)
     def test_products_at_byte_boundaries(self, n, m):
         # constant coefficients attain the bound n * m * m at index n - 1
         plus = QSeries(4, (m,) * n)
@@ -200,6 +216,28 @@ class TestKroneckerAgainstSchoolbook:
         alternating = QSeries(6, tuple(m if i % 2 else -m for i in range(n)))
         self.check(plus, alternating)
         self.check(alternating, alternating)
+
+
+class TestResidueKronecker:
+    """_kronecker, which serves residue rows only (basis._times with a
+    modulus), against the schoolbook convolution of plain ints."""
+
+    @pytest.mark.parametrize("n", [1, 11, 41, 121])
+    def test_residue_products_match_schoolbook_mod_m(self, n):
+        m = CERTIFY_MODULUS
+        rng = random.Random(n)
+        uniform = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(2)]
+        rows = [_cleared(4, n, m), _cleared(236, n, m)]
+        for a, b in (uniform, rows, (rows[0], rows[0])):
+            assert list(_times(a, b, m)) == [v % m for v in schoolbook_ints(a, b)], n
+        assert _times(rows[0], (0,) * n, m) == (0,) * n
+
+    @pytest.mark.parametrize("n, m", BYTE_BOUNDARIES)
+    def test_signed_slots_at_byte_boundaries(self, n, m):
+        plus, minus = (m,) * n, (-m,) * n
+        alternating = tuple(m if i % 2 else -m for i in range(n))
+        for a, b in ((plus, plus), (plus, minus), (minus, minus), (plus, alternating)):
+            assert _kronecker(a, b) == schoolbook_ints(a, b)
 
 
 class TestRingAxioms:
