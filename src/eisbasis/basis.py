@@ -60,14 +60,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from ._record import Record
 from .arith import _check_weight, _is_int, dimension_data
 from .eisenstein import _cleared, _constant_term, _eisenstein
-from .qseries import QSeries, _as_fraction, _kronecker, _lowest_terms, _numerators
+from .qseries import QSeries, _as_fraction, _convolve, _lowest_terms, _numerators, _pack, _unpack
 
 
 class BasisKind(str, Enum):
@@ -159,18 +159,14 @@ class Monomial(Record):
     def realize(self, precision: int, modulus: int | None = None) -> QSeries | tuple[int, ...]:
         """A lookup in the shared G_4 and G_6 power tables, exact or mod
         `modulus`, plus one multiply when both exponents are nonzero."""
-        alpha, beta = self.alpha, self.beta
-        if not beta:
-            return _eisenstein_power(4, alpha, precision, modulus)
-        if not alpha:
-            return _eisenstein_power(6, beta, precision, modulus)
-        g4 = _eisenstein_power(4, alpha, precision, modulus)
-        return _times(g4, _eisenstein_power(6, beta, precision, modulus), modulus)
+        powers = [_eisenstein_power(w, e, precision, modulus)
+                  for w, e in ((4, self.alpha), (6, self.beta)) if e]
+        return powers[0] if len(powers) == 1 else _times(*powers, modulus)
 
 
 def _times(a, b, modulus: int | None):
-    """a * b: series exactly, or residue tuples by _kronecker mod `modulus`."""
-    return a * b if modulus is None else tuple([v % modulus for v in _kronecker(a, b)])
+    """a * b: series exactly, or residue tuples by _convolve mod `modulus`."""
+    return a * b if modulus is None else tuple([v % modulus for v in _convolve(a, b)])
 
 
 @lru_cache(maxsize=2, typed=True)
@@ -373,11 +369,12 @@ class RatMatrix:
     of ints (not bools), denominator > 0, holding the entries numerators[j] /
     denominator.  There must be at least one row, and the matrix must be
     square.  Each row is kept in lowest terms, which makes the cleared rows
-    of a matrix of rationals unique.  With a `modulus` m it holds the
-    numerators mod m, over 1, and its determinant is theirs mod m, kept.
+    of a matrix of rationals unique.  RatMatrix._residues builds the other
+    kind, for certificates only: integer rows mod m, whose determinant() is
+    the residue.
     """
 
-    def __init__(self, rows, modulus: int | None = None):
+    def __init__(self, rows):
         # a square matrix with a row has a column too
         if not rows:
             raise ValueError("matrix needs at least one row and one column")
@@ -391,9 +388,16 @@ class RatMatrix:
                 raise TypeError(f"{bad.__name__} values are not allowed; use Fraction or int")
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
-            cleared.append(_lowest_terms(numerators, den) if modulus is None
-                           else (tuple([v % modulus for v in numerators]), 1))
-        self._rows, self._modulus, self._kept = tuple(cleared), modulus, None
+            cleared.append(_lowest_terms(numerators, den))
+        self._rows, self._residue, self._kept = tuple(cleared), None, None
+
+    @classmethod
+    def _residues(cls, rows, m: int) -> RatMatrix:
+        """The square integer `rows` mod m, over 1, unchecked; determinant() is theirs mod m."""
+        matrix = object.__new__(cls)
+        matrix._rows, matrix._kept = tuple([(tuple([v % m for v in row]), 1) for row in rows]), None
+        matrix._residue = _eliminate([row for row, _ in matrix._rows], m)
+        return matrix
 
     @property
     def rows(self) -> int:
@@ -404,29 +408,29 @@ class RatMatrix:
 
     def nonsingular(self) -> bool:
         """Whether det != 0, by the numerators' residue mod CERTIFY_MODULUS unless it is 0."""
-        return RatMatrix(self._rows, CERTIFY_MODULUS).determinant() != 0 or self.determinant() != 0
+        residues = RatMatrix._residues([row for row, _ in self._rows], CERTIFY_MODULUS)
+        return residues.determinant() != 0 or self.determinant() != 0
 
     def determinant(self) -> Fraction | int:
-        """The exact determinant, or with a modulus the residue.  At a zero
-        residue mod m = CERTIFY_MODULUS, y N = 0 mod m for the last row y of the
+        """The exact determinant, or for a _residues matrix the residue.  A
+        nonzero residue of the numerators N mod m = CERTIFY_MODULUS leaves it
+        to Bareiss.  At a zero one, y N = 0 mod m for the last row y of the
         transform (_eliminate), so z_i = y_i D_i, scaled to a unit entry 1, has
         sum z_i A_i = 0 mod m on the rows A_i = N_i / D_i; read back small, a z
         that holds exactly proves det = 0, and otherwise Bareiss decides."""
-        if self._modulus:
+        if self._residue is not None:
             return self._residue
         m, numerators = CERTIFY_MODULUS, [row for row, _ in self._rows]
-        residue, transform = _eliminate(numerators, m, True)
+        if _eliminate(numerators, m):
+            return _bareiss(self._rows)
+        transform = _eliminate(numerators, m, True)[1]
         z = [y * d % m for y, (_, d) in zip(transform[-1], self._rows)]
         unit = next((pow(v, -1, m) for v in z if gcd(v, m) == 1), None)
-        read = unit and not residue and _reconstruct_vector([v * unit % m for v in z], m)
+        read = unit and _reconstruct_vector([v * unit % m for v in z], m)
         common = lcm(*[d for _, d in self._rows])
         w = read and [v * (common // d) for v, (_, d) in zip(read[0], self._rows)]
         dependent = w and not any(sum(map(mul, w, column)) for column in zip(*numerators))
         return Fraction(0) if dependent else _bareiss(self._rows)
-
-    @cached_property
-    def _residue(self) -> int:
-        return _eliminate([numerators for numerators, _ in self._rows], self._modulus)
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly: each entry of rhs passes the rational
@@ -535,17 +539,13 @@ def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
     """
     n = len(rows)
     m = [list(numerators) for numerators, _ in rows]
-    sign = 1
-    prev = 1
+    sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
                 return Fraction(0)
+            m[k], m[i], sign = m[i], m[k], -sign
         pivot, top = m[k][k], m[k][k + 1 :]
         # column k below the pivot is never read again
         for row in m[k + 1 :]:
@@ -569,30 +569,24 @@ def _eliminate(rows, m: int, track: bool = False):
     n = len(rows)
     width = (2 * m.bit_length() + n.bit_length() + 9) // 8
     shift, mask, size = 8 * width, (1 << 8 * width) - 1, 2 * n if track else n
-
-    def unpack(packed, count, scale=1):
-        raw = packed.to_bytes(width * count, "little")
-        return [int.from_bytes(raw[i : i + width], "little") * scale % m
-                for i in range(0, width * count, width)]
-
-    raw = b"".join([(v % m).to_bytes(width, "little") for row in rows for v in row])
-    a = [int.from_bytes(raw[i : i + width * n], "little") for i in range(0, len(raw), width * n)]
-    a = [row | track << shift * (n + i) for i, row in enumerate(a)]
+    a = [_pack([v % m for v in row], width) | track << shift * (n + i) for i, row in enumerate(rows)]
     det, r = 1, 0
     for k in range(n):
         pivot = next((i for i in range(r, n) if gcd(a[i] & mask, m) == 1), None)
         if pivot is None:
+            if not track:
+                return 0
             det, a = 0, [row >> shift for row in a]
             continue
         a[r], a[pivot], det = a[pivot], a[r], det if pivot == r else -det
         p = (a[r] & mask) % m
-        det, scaled = det * p % m, unpack(a[r], size - k, pow(p, -1, m))
-        top = int.from_bytes(b"".join([v.to_bytes(width, "little") for v in scaled]), "little")
+        det, inverse = det * p % m, pow(p, -1, m)
+        top = _pack([v * inverse % m for v in _unpack(a[r], width, size - k)], width)
         for i in range(0 if track else r + 1, n):
             f = (a[i] & mask) % m
             a[i] = (a[i] + (m - f) * top if f and i != r else a[i]) >> shift
         a[r], r = top >> shift, r + 1
-    return (det, [unpack(row, n) for row in a]) if track else det
+    return (det, [[v % m for v in _unpack(row, width, n)] for row in a]) if track else det
 
 
 def _reconstruct_vector(residues: list[int], m: int) -> tuple[list[int], int] | None:
@@ -681,6 +675,7 @@ def verify_report(basis: Basis) -> VerificationReport:
     series = [el.series for el in basis.elements]
     rows = [(s.numerators[start:stop], s.denominator) for s in series]
 
+    @cache  # a zero residue's verdict and a read share one exact value
     def exact() -> Fraction:
         if not vanish:
             return RatMatrix(rows).determinant()
@@ -694,7 +689,8 @@ def verify_report(basis: Basis) -> VerificationReport:
             through.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
         return RatMatrix(through).determinant() / g.coefficient(0)
 
-    nonsingular = RatMatrix(rows, CERTIFY_MODULUS).determinant() != 0 or exact() != 0
+    residues = RatMatrix._residues([row for row, _ in rows], CERTIFY_MODULUS)
+    nonsingular = residues.determinant() != 0 or exact() != 0
     return VerificationReport(basis.weight, basis.kind, count, nonsingular, vanish, exact)
 
 
@@ -703,7 +699,7 @@ def _residue_window(weight: int, kind: BasisKind, modulus: int) -> RatMatrix:
     """Each `kind` descriptor realized mod `modulus` on the window from a_0,
     over 1.  Two are kept, with their residues, so new-s reads new-m's."""
     descriptors = basis_descriptors(weight, kind)
-    return RatMatrix([(d.realize(len(descriptors), modulus), 1) for d in descriptors], modulus)
+    return RatMatrix._residues([d.realize(len(descriptors), modulus) for d in descriptors], modulus)
 
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
@@ -737,13 +733,9 @@ class SpanError(ValueError):
     """The target series is not an exact combination of the basis elements."""
 
     def __init__(self, index: int, expected: Fraction, actual: Fraction):
-        self.index = index
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"residual at coefficient index {index}: target has {expected}, "
-            f"reconstruction gives {actual}"
-        )
+        self.index, self.expected, self.actual = index, expected, actual
+        super().__init__(f"residual at coefficient index {index}: target has {expected}, "
+                         f"reconstruction gives {actual}")
 
 
 def _check_target_precision(target: QSeries) -> None:
@@ -769,9 +761,7 @@ def express(target: QSeries, basis: Basis) -> list[Fraction]:
     modular form of this weight.  Only then are the N_j / D built.
     """
     if target.weight != basis.weight:
-        raise ValueError(
-            f"target weight {target.weight} does not match basis weight {basis.weight}"
-        )
+        raise ValueError(f"target weight {target.weight} does not match basis weight {basis.weight}")
     _check_target_precision(target)
     count = len(basis.elements)
     limit = target.precision

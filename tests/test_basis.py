@@ -323,6 +323,11 @@ class TestRatMatrix:
         assert rat_matrix([[Fraction(1, m), 0], [0, Fraction(2, m)]]).nonsingular() is True
         assert rat_matrix([[Fraction(1, m), 1], [Fraction(1, m), 1]]).nonsingular() is False
 
+    def test_takes_no_modulus(self):
+        # residue matrices are internal: RatMatrix._residues
+        with pytest.raises(TypeError):
+            RatMatrix([([1], 1)], CERTIFY_MODULUS)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             rat_matrix([[1, 2, 3], [4, 5, 6]])
@@ -1079,6 +1084,23 @@ class TestEliminate:
         # that does not hold exactly
         rows = [[1, 2, 3], [1 + m, 2, 3 + 2 * m], [0, 1, 5]]
         assert rat_matrix(rows).determinant() == det_leibniz(rows) != 0
+
+    def test_a_zero_residue_report_takes_its_exact_value_once(self, monkeypatch):
+        basis = new_basis(36)
+        first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
+        control = with_element(basis, -1, last.descriptor, first.series + second.series)
+        calls = determinant_calls(monkeypatch)
+        report = verify_report(control)
+        assert report.nonsingular is False
+        assert report.determinant == 0
+        assert calls == [True, False]  # the read reuses the verdict's value
+
+    def test_a_nonzero_residue_leaves_the_exact_determinant_to_bareiss(self, monkeypatch):
+        eliminations = counted_calls(monkeypatch, "_eliminate")
+        assert rat_matrix([[2, 1], [-1, 3]]).determinant() == 7
+        assert rat_matrix([[CERTIFY_MODULUS, 0], [0, 1]]).determinant() == CERTIFY_MODULUS
+        # one untracked elimination each, and only the second, 0 mod m, tracks
+        assert [len(args) for args in eliminations] == [2, 2, 3]
 
     def test_new_s_reads_new_m_s_residue_with_no_second_elimination(self, monkeypatch):
         basis_module._residue_window.cache_clear()

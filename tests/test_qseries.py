@@ -7,7 +7,8 @@ from eisbasis import QSeries, eisenstein
 from eisbasis.arith import sigma
 from eisbasis.basis import CERTIFY_MODULUS, _times
 from eisbasis.eisenstein import _cleared
-from eisbasis.qseries import _kronecker
+from eisbasis import qseries
+from eisbasis.qseries import _convolve, _kronecker
 from helpers import schoolbook_product
 
 # (n, m) with constant coefficients m reaching the bound n * m * m of a
@@ -218,9 +219,48 @@ class TestShortProductAgainstSchoolbook:
         self.check(alternating, alternating)
 
 
-class TestResidueKronecker:
-    """_kronecker, which serves residue rows only (basis._times with a
-    modulus), against the schoolbook convolution of plain ints."""
+def kronecker_calls(monkeypatch) -> list[int]:
+    """Record the length of every _kronecker call _convolve makes."""
+    calls = []
+    kronecker = qseries._kronecker
+
+    def recorded(a, b):
+        calls.append(len(a))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(qseries, "_kronecker", recorded)
+    return calls
+
+
+class TestKronecker:
+    """_kronecker, which _convolve picks for long products of narrow
+    coefficients, exact or residue, against the schoolbook convolution of
+    plain ints."""
+
+    def test_long_narrow_products_are_packed(self, monkeypatch):
+        calls = kronecker_calls(monkeypatch)
+        # G_6's constant term is negative, so G_6 * G_10 packs signed slots
+        for u, v, n in ((4, 4, 200), (4, 8, 300), (12, 16, 121), (6, 10, 150)):
+            a, b = eisenstein(u, n), eisenstein(v, n)
+            assert a * b == schoolbook_product(a, b), (u, v, n)
+        rows = [_cleared(4, 121, CERTIFY_MODULUS), _cleared(6, 121, CERTIFY_MODULUS)]
+        _times(*rows, CERTIFY_MODULUS)
+        assert calls == [200, 300, 121, 150, 121]
+
+    def test_short_wide_and_unbalanced_products_are_not(self, monkeypatch):
+        calls = kronecker_calls(monkeypatch)
+        eisenstein(4, 15) * eisenstein(6, 15)
+        eisenstein(4, 30) * eisenstein(236, 30)
+        eisenstein(120, 60) * eisenstein(120, 60)
+        _times(_cleared(4, 11, CERTIFY_MODULUS), _cleared(6, 11, CERTIFY_MODULUS), CERTIFY_MODULUS)
+        assert calls == []
+
+    def test_either_routine_gives_the_same_coefficients(self):
+        rng = random.Random(16)
+        for n in (1, 15, 16, 40, 90):
+            for bits in (1, 30, 400):
+                a, b = ([rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(2))
+                assert _convolve(a, b) == _kronecker(a, b) == schoolbook_ints(a, b), (n, bits)
 
     @pytest.mark.parametrize("n", [1, 11, 41, 121])
     def test_residue_products_match_schoolbook_mod_m(self, n):
