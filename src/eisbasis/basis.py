@@ -29,20 +29,6 @@ the exact row A_i and D_i a product of a_0 denominators, so det(R) =
 prod(D_i) * det(A).  One packed elimination mod m, _eliminate, gives every
 residue and inverse; only a residue of 0 builds A, as `determinant` does.
 
-The exact new-s determinant is taken through new-m's matrix.  When every new-s
-element S_i has a_0 = 0, the (n+1)-square matrix over a_0..a_n with rows
-G_2k and S_i - c_i * G_2k becomes, after adding c_i times the first row
-to row i, block-triangular with first column (a_0(G_2k), 0, ..., 0), so
-its determinant is a_0(G_2k) times the new-s determinant over a_1..a_n.
-That holds for any c_i (an element's correction, or 0 if it has none), so
-it serves whenever the constant terms vanish; with c_i the cusp correction
-the rows are the new-m products, whose entries are a few times smaller.
-They are integer rows: N_i L/D_i - p_i g L/(q_i d) over L = lcm(D_i, q_i d),
-for S_i = N_i/D_i, c_i = p_i/q_i and G_2k = g/d, each cancelled once.
-The last four exact determinants are kept, keyed by their integer rows, so
-reading new-s's after new-m's repeats no elimination; like the series table
-the memo is bounded, and a hit needs an identical matrix.
-
 Expressing a form in coordinates solves the leading square window by p-adic
 (Dixon) lifting on the target's integer numerators over their denominator
 E.  Window row i, over d_i, is scaled by E / gcd(d_i, E), a divisor of E,
@@ -60,7 +46,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -389,14 +375,14 @@ class RatMatrix:
             if den < 1:
                 raise ValueError(f"row denominators must be positive, got {den}")
             cleared.append(_lowest_terms(numerators, den))
-        self._rows, self._residue, self._kept = tuple(cleared), None, None
+        self._rows, self._det, self._kept = tuple(cleared), None, None
 
     @classmethod
     def _residues(cls, rows, m: int) -> RatMatrix:
         """The square integer `rows` mod m, over 1, unchecked; determinant() is theirs mod m."""
         matrix = object.__new__(cls)
         matrix._rows, matrix._kept = tuple([(tuple([v % m for v in row]), 1) for row in rows]), None
-        matrix._residue = _eliminate([row for row, _ in matrix._rows], m)
+        matrix._det = _eliminate([row for row, _ in matrix._rows], m)
         return matrix
 
     @property
@@ -407,30 +393,33 @@ class RatMatrix:
         return [[Fraction(v, den) for v in numerators] for numerators, den in self._rows]
 
     def nonsingular(self) -> bool:
-        """Whether det != 0, by the numerators' residue mod CERTIFY_MODULUS unless it is 0."""
-        residues = RatMatrix._residues([row for row, _ in self._rows], CERTIFY_MODULUS)
-        return residues.determinant() != 0 or self.determinant() != 0
+        """Whether det != 0: by the kept determinant, or else by the
+        numerators' residue mod CERTIFY_MODULUS unless it is 0."""
+        numerators = [row for row, _ in self._rows]
+        if self._det is None and RatMatrix._residues(numerators, CERTIFY_MODULUS).determinant():
+            return True
+        return self.determinant() != 0
 
     def determinant(self) -> Fraction | int:
-        """The exact determinant, or for a _residues matrix the residue.  A
-        nonzero residue of the numerators N mod m = CERTIFY_MODULUS leaves it
-        to Bareiss.  At a zero one, y N = 0 mod m for the last row y of the
-        transform (_eliminate), so z_i = y_i D_i, scaled to a unit entry 1, has
-        sum z_i A_i = 0 mod m on the rows A_i = N_i / D_i; read back small, a z
-        that holds exactly proves det = 0, and otherwise Bareiss decides."""
-        if self._residue is not None:
-            return self._residue
-        m, numerators = CERTIFY_MODULUS, [row for row, _ in self._rows]
-        if _eliminate(numerators, m):
-            return _bareiss(self._rows)
-        transform = _eliminate(numerators, m, True)[1]
-        z = [y * d % m for y, (_, d) in zip(transform[-1], self._rows)]
-        unit = next((pow(v, -1, m) for v in z if gcd(v, m) == 1), None)
-        read = unit and _reconstruct_vector([v * unit % m for v in z], m)
-        common = lcm(*[d for _, d in self._rows])
-        w = read and [v * (common // d) for v, (_, d) in zip(read[0], self._rows)]
-        dependent = w and not any(sum(map(mul, w, column)) for column in zip(*numerators))
-        return Fraction(0) if dependent else _bareiss(self._rows)
+        """The exact determinant, kept from the first call, or for a _residues
+        matrix the residue.  A nonzero residue of the numerators N mod m =
+        CERTIFY_MODULUS leaves it to Bareiss.  At a zero one, y N = 0 mod m for
+        the last row y of the transform (_eliminate), so z_i = y_i D_i, scaled
+        to a unit entry 1, has sum z_i A_i = 0 mod m on the rows A_i = N_i / D_i;
+        read back small, a z that holds exactly proves det = 0, or Bareiss decides."""
+        if self._det is not None:
+            return self._det
+        m, numerators, dependent = CERTIFY_MODULUS, [row for row, _ in self._rows], False
+        if not _eliminate(numerators, m):
+            transform = _eliminate(numerators, m, True)[1]
+            z = [y * d % m for y, (_, d) in zip(transform[-1], self._rows)]
+            unit = next((pow(v, -1, m) for v in z if gcd(v, m) == 1), None)
+            read = unit and _reconstruct_vector([v * unit % m for v in z], m)
+            common = lcm(*[d for _, d in self._rows])
+            w = read and [v * (common // d) for v, (_, d) in zip(read[0], self._rows)]
+            dependent = w and not any(sum(map(mul, w, column)) for column in zip(*numerators))
+        self._det = Fraction(0) if dependent else _bareiss(self._rows)
+        return self._det
 
     def solve(self, rhs) -> list[Fraction]:
         """Solve self * x = rhs exactly: each entry of rhs passes the rational
@@ -509,7 +498,7 @@ class RatMatrix:
         scales, which divide E, invertible mod m, and rational reconstruction
         works for any m.  The first pair found is kept with the matrix and
         reused while its modulus is coprime to E.  Each modulus that fails
-        for N asks the exact determinant if it is 0.
+        for N asks the exact determinant, kept after the first, if it is 0.
         """
         if self._kept and gcd(den, self._kept[0]) == 1:
             return self._kept
@@ -524,9 +513,6 @@ class RatMatrix:
                 raise ValueError("matrix is singular")
 
 
-# exact determinants are read lazily; new-s's is new-m's matrix, and four
-# matrices cover reading new-m, classical and new-s with room to spare
-@lru_cache(maxsize=4)
 def _bareiss(rows: tuple[tuple[tuple[int, ...], int], ...]) -> Fraction:
     """The determinant of the square matrix with cleared rows `rows`.
 
@@ -629,7 +615,8 @@ class VerificationReport(Record):
     ``nonsingular``, the certified verdict, is None only for the vacuous
     empty cusp basis.  ``constant_terms_vanish`` is None for the full-space
     kinds, where no vanishing is expected.  ``determinant`` is the exact
-    value, computed on first read by calling `exact`; it is not a field.
+    value of the window, computed on first read by calling `exact` (the
+    window's RatMatrix.determinant in verify_report); it is not a field.
     """
 
     weight: int
@@ -657,41 +644,18 @@ def verify_report(basis: Basis) -> VerificationReport:
 
     The square matrix with one row per element, holding its coefficients
     over ``basis.window``, must be non-singular, as RatMatrix.nonsingular
-    certifies.  Cusp kind: every constant term must also vanish exactly.
-
-    When they all vanish, the exact new-s determinant, asked on a zero
-    residue or read, is taken through the rows G_2k and S_i - c_i * G_2k
-    over a_0..a_n, whose determinant is a_0(G_2k) times the new-s one, for
-    any c_i (see the module docstring); c_i is the element's correction, or
-    0 when it has none.  Untampered, those rows are new-m's matrix.
+    certifies; the report's exact determinant is that matrix's, worked out
+    when read, or kept from a zero residue's verdict.  Cusp kind: every
+    constant term must also vanish exactly.
     """
-    count = len(basis.elements)
-    vanish = None
-    if basis.kind is BasisKind.NEW_S:
-        vanish = all(el.series.numerators[0] == 0 for el in basis.elements)
+    count, series = len(basis.elements), [el.series for el in basis.elements]
+    vanish = all(s.numerators[0] == 0 for s in series) if basis.kind is BasisKind.NEW_S else None
     if not count:
         return VerificationReport(basis.weight, basis.kind, count, None, vanish)
     start, stop = basis.window.start, basis.window.stop
-    series = [el.series for el in basis.elements]
-    rows = [(s.numerators[start:stop], s.denominator) for s in series]
-
-    @cache  # a zero residue's verdict and a read share one exact value
-    def exact() -> Fraction:
-        if not vanish:
-            return RatMatrix(rows).determinant()
-        g = _eisenstein_power(basis.weight, 1, basis.precision)
-        d, top = g.denominator, g.numerators[:stop]
-        through = [(top, d)]
-        for s, el in zip(series, basis.elements):
-            c = getattr(el.descriptor, "c", 0)
-            den = lcm(s.denominator, c.denominator * d)
-            a, b = den // s.denominator, c.numerator * (den // (c.denominator * d))
-            through.append(([v * a - b * w for v, w in zip(s.numerators, top)], den))
-        return RatMatrix(through).determinant() / g.coefficient(0)
-
-    residues = RatMatrix._residues([row for row, _ in rows], CERTIFY_MODULUS)
-    nonsingular = residues.determinant() != 0 or exact() != 0
-    return VerificationReport(basis.weight, basis.kind, count, nonsingular, vanish, exact)
+    matrix = RatMatrix([(s.numerators[start:stop], s.denominator) for s in series])
+    nonsingular = matrix.nonsingular()
+    return VerificationReport(basis.weight, basis.kind, count, nonsingular, vanish, matrix.determinant)
 
 
 @lru_cache(maxsize=2)
@@ -704,10 +668,13 @@ def _residue_window(weight: int, kind: BasisKind, modulus: int) -> RatMatrix:
 
 def verify_basis(weight: int, kind: BasisKind | str) -> VerificationReport:
     """verify_report of the `kind` basis at the precision floor, certified
-    mod m = CERTIFY_MODULUS on its cleared rows D_i * A_i (_residue_window);
-    new-s on new-m's, as its exact read does, once its constant terms vanish
-    exactly.  A constant term that does not cancel, or a zero residue, falls
-    back to verify_report on the floor basis, as reading `determinant` does.
+    mod m = CERTIFY_MODULUS on its cleared rows D_i * A_i (_residue_window).
+    new-s is certified on new-m's once its constant terms vanish exactly:
+    new-m's rows over a_0..a_n are G_2k and S_i - c_i G_2k; adding c_i times
+    the first row to row i leaves first column (a_0(G_2k), 0, ..., 0), so
+    det(new-m) = a_0(G_2k) * det(S_1..S_n over a_1..a_n), and a_0(G_2k) != 0.
+    A constant term that does not cancel, or a zero residue, falls back to
+    verify_report on the floor basis, as reading `determinant` does.
     """
     floor, kind = _precision_floor(weight), BasisKind(kind)
 

@@ -468,14 +468,12 @@ class TestRatMatrix:
         q = (FIRST_PRIME - 2) // 29
         rows = [[29, 1], [q, q * pow(29, -1, FIRST_PRIME) % FIRST_PRIME]]
         assert gcd(29 * rows[1][1] - q, FIRST_PRIME - 2) == 1
-        memo = basis_module._bareiss
-        before = memo.cache_info()
         factorisations = factor_moduli(monkeypatch)
+        bareiss = counted_calls(monkeypatch, "_bareiss")
         assert rat_matrix(rows).solve([1, 1]) == gauss_solve(rows, [1, 1])
         assert factorisations == [FIRST_PRIME, FIRST_PRIME - 2, FIRST_PRIME - 4]
-        after = memo.cache_info()
-        # the determinant is eliminated once, then read from the memo
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        # the determinant is eliminated once, then read from the matrix
+        assert len(bareiss) == 1
 
     def test_rhs_denominator_sharing_a_factor_with_the_modulus(self, monkeypatch):
         # singular mod 2^61 - 1, the matrix keeps 2^61 - 3 = 29 * q; a row
@@ -514,15 +512,16 @@ class TestRatMatrix:
             rat_matrix([[p, 2 * p], [1, 2]]).solve([1, 1])
         assert calls == [2]
 
-    def test_solve_singular_mod_two_primes_eliminates_once(self):
+    def test_solve_singular_mod_two_primes_eliminates_once(self, monkeypatch):
         # each modulus at which N is singular asks for the determinant; the
-        # memo answers every ask after the first
+        # matrix keeps it, so every ask after the first eliminates nothing
         p1, p2 = FIRST_PRIME, FIRST_PRIME - 2
-        memo = basis_module._bareiss
-        before = memo.cache_info()
-        assert rat_matrix([[p1 * p2, 0], [0, 1]]).solve([1, 1]) == [Fraction(1, p1 * p2), 1]
-        after = memo.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        matrix = rat_matrix([[p1 * p2, 0], [0, 1]])
+        eliminations = counted_calls(monkeypatch, "_eliminate")
+        bareiss = counted_calls(monkeypatch, "_bareiss")
+        assert matrix.solve([1, 1]) == [Fraction(1, p1 * p2), 1]
+        assert len(bareiss) == 1
+        assert [args[1] for args in eliminations] == [p1, CERTIFY_MODULUS, p2, p2 - 2]
 
     def test_solve_needs_several_digits_for_500_bit_numerators(self, monkeypatch):
         rng = random.Random(500)
@@ -853,7 +852,9 @@ def with_element(basis: Basis, index: int, descriptor, series: QSeries) -> Basis
 
 
 class TestNewSThroughNewM:
-    """verify_report takes the new-s determinant as det(new-m matrix) / a_0(G_2k)."""
+    """verify_report takes the new-s determinant on its own window a_1..a_n,
+    and it is det(new-m matrix) / a_0(G_2k), the identity verify_basis
+    certifies new-s by."""
 
     def test_identity_matches_the_direct_window_through_120(self):
         for weight in range(4, 122, 2):
@@ -870,23 +871,26 @@ class TestNewSThroughNewM:
             assert new_s.determinant * a0 == new_m.determinant, weight
             assert new_s.nonsingular == (new_s.determinant != 0), weight
 
-    def test_new_s_certifies_on_its_own_window_and_reads_new_m_s_exact_value(self, monkeypatch):
-        # the verdict is one residue elimination on a_1..a_n; reading the
-        # exact value goes through new-m's matrix, which the memo holds
-        memo = basis_module._bareiss
+    def test_new_s_certifies_and_reads_its_exact_value_on_its_own_window(self, monkeypatch):
+        # the verdict is one residue elimination on a_1..a_n, and reading the
+        # exact value runs Bareiss once, on those n rows and no G_2k row
         assert verify_report(new_basis(96)).determinant != 0
-        verify_report(classical_basis(96))
         basis = cusp_basis(96)
         n, m = len(basis.elements), CERTIFY_MODULUS
         calls = determinant_calls(monkeypatch)
         eliminations = counted_calls(monkeypatch, "_eliminate")
+        bareiss = counted_calls(monkeypatch, "_bareiss")
         report = verify_report(basis)
-        window = [tuple(v % m for v in el.series.numerators[1 : n + 1]) for el in basis.elements]
+        window = []
+        for el in basis.elements:
+            numerators = el.series.numerators[1 : n + 1]
+            common = gcd(*numerators, el.series.denominator)
+            window.append(tuple(v // common % m for v in numerators))
         assert calls == [True]
         assert eliminations == [(window, m)]
-        hits = memo.cache_info().hits
-        assert report.determinant == window_determinant(basis)
-        assert memo.cache_info().hits == hits + 1
+        determinant = report.determinant
+        assert [len(rows) for rows, in bareiss] == [n]
+        assert determinant == window_determinant(basis) != 0
 
     def test_nonvanishing_constant_term_keeps_the_direct_value(self):
         basis = cusp_basis(36)
@@ -913,8 +917,8 @@ class TestNewSThroughNewM:
         assert not report.confirmed
 
     def test_descriptor_other_than_a_cusp_combo_gives_the_direct_value(self):
-        # the identity holds for any c_i: a plain product reads c_i = 0, and
-        # every correction moved by one or replaced by the int 0 changes nothing
+        # the report reads only the series: a plain product descriptor, or
+        # every correction moved by one or replaced by the int 0, changes nothing
         basis = cusp_basis(60)
         el = basis.elements[1]
         plain = with_element(basis, 1, Product(el.descriptor.u, el.descriptor.v), el.series)
@@ -986,7 +990,7 @@ def exact_residue(rows, m: int) -> int:
     """det(rows) mod m for integer rows, by exact Bareiss elimination on
     the rows reduced mod m."""
     reduced = tuple((tuple(v % m for v in r), 1) for r in rows)
-    return int(basis_module._bareiss.__wrapped__(reduced)) % m
+    return int(basis_module._bareiss(reduced)) % m
 
 
 def unimodular_times(rng, n: int, diagonal: list[int]) -> list[list[int]]:
@@ -1060,9 +1064,16 @@ class TestEliminate:
             assert residue == 0 and any(y)
             assert all(sum(a * r[j] for a, r in zip(y, rows)) % m == 0 for j in range(n))
 
-    @pytest.mark.parametrize("weight", [36, 120, 240])
-    def test_a_dependency_proves_the_singular_control_zero_without_bareiss(self, weight, monkeypatch):
-        basis = new_basis(weight)
+    # new-s's dependency is the sum of the first two on its own window
+    @pytest.mark.parametrize(
+        "weight, kind",
+        [(36, "new-m"), (120, "new-m"), (240, "new-m"), (120, "new-s"), (240, "new-s")],
+        ids=["36", "120", "240", "new-s-120", "new-s-240"],
+    )
+    def test_a_dependency_proves_the_singular_control_zero_without_bareiss(
+        self, weight, kind, monkeypatch
+    ):
+        basis = basis_for(weight, kind)
         first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
         control = with_element(basis, -1, last.descriptor, first.series + second.series)
         bareiss = counted_calls(monkeypatch, "_bareiss")
@@ -1089,11 +1100,27 @@ class TestEliminate:
         basis = new_basis(36)
         first, second, last = basis.elements[0], basis.elements[1], basis.elements[-1]
         control = with_element(basis, -1, last.descriptor, first.series + second.series)
-        calls = determinant_calls(monkeypatch)
+        eliminations = counted_calls(monkeypatch, "_eliminate")
         report = verify_report(control)
         assert report.nonsingular is False
+        # the residue, then the exact value's residue and its one tracked
+        # elimination, which the read reuses from the window's matrix
+        assert [len(args) for args in eliminations] == [2, 2, 3]
         assert report.determinant == 0
-        assert calls == [True, False]  # the read reuses the verdict's value
+        assert len(eliminations) == 3
+
+    def test_a_matrix_works_out_its_determinant_once(self, monkeypatch):
+        eliminations = counted_calls(monkeypatch, "_eliminate")
+        bareiss = counted_calls(monkeypatch, "_bareiss")
+        # by Bareiss, by Bareiss after a zero residue, and by a dependency
+        for rows in ([[2, 1], [-1, 3]], [[CERTIFY_MODULUS, 0], [0, 1]], [[1, 2], [2, 4]]):
+            matrix = rat_matrix(rows)
+            determinant = matrix.determinant()
+            eliminations.clear()
+            bareiss.clear()
+            assert matrix.determinant() == determinant == det_leibniz(rows)
+            assert matrix.nonsingular() is (determinant != 0)
+            assert eliminations == bareiss == [], rows
 
     def test_a_nonzero_residue_leaves_the_exact_determinant_to_bareiss(self, monkeypatch):
         eliminations = counted_calls(monkeypatch, "_eliminate")
